@@ -18,8 +18,8 @@ use igepa_datagen::{
     ClusteredConfig, CommunityTraceConfig, DeltaTrace, SyntheticConfig, TraceConfig,
 };
 use igepa_engine::{
-    BatchPolicy, Engine, EngineClient, EngineConfig, EngineQuery, EngineRequest, EngineServer,
-    EngineService, Framing, Shard,
+    BatchPolicy, EngineClient, EngineConfig, EngineQuery, EngineRequest, EngineServer,
+    EngineService, Framing, ServerOptions, Shard,
 };
 use igepa_experiments::sharded_serving_engine;
 use std::hint::black_box;
@@ -51,12 +51,12 @@ fn trace_for(instance: &Instance, num_deltas: usize) -> DeltaTrace {
     )
 }
 
-fn fresh_engine(instance: Instance) -> Engine {
-    Engine::new(
+fn fresh_engine(instance: Instance) -> Shard {
+    Shard::new(
         instance,
-        Box::new(NeverConflict),
-        Box::new(ConstantInterest(0.5)),
-        Box::new(GreedyArrangement),
+        Arc::new(NeverConflict),
+        Arc::new(ConstantInterest(0.5)),
+        Arc::new(GreedyArrangement),
         EngineConfig {
             seed: 5,
             // Measure pure repair cost: no periodic cold solves mixed in.
@@ -238,10 +238,10 @@ fn service_dispatch(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                let handle = EngineServer::serve_sharded(
+                let handle = EngineServer::serve(
                     listener,
                     sharded_serving_engine(base.clone(), 5, workers, 1),
-                    Framing::Lines,
+                    ServerOptions::from(Framing::Lines),
                 )
                 .unwrap();
                 let mut client =
@@ -349,7 +349,7 @@ fn churn_engine(base: Instance, shards: usize) -> igepa_engine::ShardedEngine {
 /// timed.
 struct ReplicatedBaseline {
     mirror: Instance,
-    engines: Vec<Engine>,
+    engines: Vec<Shard>,
     /// Global user id → (engine, engine-local user id).
     owners: Vec<(usize, UserId)>,
 }
@@ -417,11 +417,11 @@ impl ReplicatedBaseline {
                 let sub = b
                     .build(&igepa_core::TimeOverlapConflict, &ConstantInterest(0.5))
                     .expect("baseline sub-instance is valid");
-                Engine::new(
+                Shard::new(
                     sub,
-                    Box::new(igepa_core::TimeOverlapConflict),
-                    Box::new(ConstantInterest(0.5)),
-                    Box::new(GreedyArrangement),
+                    Arc::new(igepa_core::TimeOverlapConflict),
+                    Arc::new(ConstantInterest(0.5)),
+                    Arc::new(GreedyArrangement),
                     EngineConfig {
                         seed: 5 + k as u64,
                         staleness_check_interval: 0,
@@ -865,11 +865,11 @@ fn parallel_repair_scenarios(report: &mut BenchReport) {
 
     let mut utilities = Vec::new();
     for &threads in &[1usize, 2, 4] {
-        let mut engine = Engine::new(
+        let mut engine = Shard::new(
             base.clone(),
-            Box::new(NeverConflict),
-            Box::new(ConstantInterest(0.5)),
-            Box::new(GreedyArrangement),
+            Arc::new(NeverConflict),
+            Arc::new(ConstantInterest(0.5)),
+            Arc::new(GreedyArrangement),
             EngineConfig {
                 seed: 5,
                 staleness_check_interval: 0,
@@ -934,11 +934,11 @@ fn parallel_repair_scenarios(report: &mut BenchReport) {
 fn cost_model_scenarios(report: &mut BenchReport) {
     let base = base_instance();
     let trace = trace_for(&base, 512);
-    let mut engine = Engine::new(
+    let mut engine = Shard::new(
         base,
-        Box::new(NeverConflict),
-        Box::new(ConstantInterest(0.5)),
-        Box::new(GreedyArrangement),
+        Arc::new(NeverConflict),
+        Arc::new(ConstantInterest(0.5)),
+        Arc::new(GreedyArrangement),
         EngineConfig {
             seed: 5,
             staleness_check_interval: 64,
@@ -978,10 +978,10 @@ fn pipeline_scenarios(report: &mut BenchReport) {
         17,
     );
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = EngineServer::serve_sharded(
+    let handle = EngineServer::serve(
         listener,
         sharded_serving_engine(dataset.instance, 5, 4, 1),
-        Framing::Lines,
+        ServerOptions::from(Framing::Lines),
     )
     .unwrap();
     let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
@@ -1059,10 +1059,10 @@ fn concurrent_reader_scenarios(report: &mut BenchReport) {
     ];
     for (label, readers, query) in cases {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle = EngineServer::serve_sharded(
+        let handle = EngineServer::serve(
             listener,
             sharded_serving_engine(base.clone(), 5, 4, 1),
-            Framing::Lines,
+            ServerOptions::from(Framing::Lines),
         )
         .unwrap();
         let addr = handle.local_addr();
@@ -1254,7 +1254,7 @@ fn overload_scenarios(report: &mut BenchReport) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     // Cap 0: the gate is saturated by construction, every mutation
     // sheds, and the measurements are deterministic in what they hit.
-    let handle = EngineServer::serve_sharded(
+    let handle = EngineServer::serve(
         listener,
         sharded_serving_engine_with_admission(
             dataset.instance,
@@ -1263,7 +1263,7 @@ fn overload_scenarios(report: &mut BenchReport) {
             1,
             AdmissionPolicy::bounded(0),
         ),
-        Framing::Lines,
+        ServerOptions::from(Framing::Lines),
     )
     .unwrap();
     let addr = handle.local_addr();

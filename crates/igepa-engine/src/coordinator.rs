@@ -17,8 +17,8 @@
 //! ## Routing
 //!
 //! The coordinator validates every delta against a full-capacity **mirror
-//! instance** first (so rejection semantics match the monolithic engine
-//! exactly), then routes it:
+//! instance** first (so rejection semantics match a bare [`Shard`] over
+//! the full instance exactly), then routes it:
 //!
 //! * user-scoped deltas go to the owning shard with the user id rewritten
 //!   to the shard-local dense id;
@@ -58,9 +58,9 @@
 //! checkpoint the post-migration state — a crash on either side of the
 //! cut recovers bit-exactly, replaying the logged reshard when needed.
 //!
-//! With `num_shards == 1` the single shard serves a clone of the full
-//! instance and every request takes the exact code path of the monolithic
-//! [`Engine`](crate::Engine), reproducing its responses bit for bit.
+//! With `num_shards == 1` ([`ShardedEngine::single`]) the single shard
+//! serves a clone of the full instance, so every apply takes exactly the
+//! code path of a bare [`Shard`] over it, bit for bit.
 
 use crate::catalog::{CatalogSnapshot, EventCatalog};
 use crate::durability::snapshot::{EngineSnapshotState, ShardRecord, STATE_VERSION};
@@ -83,7 +83,7 @@ use std::sync::Arc;
 /// Configuration of the sharded coordinator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedConfig {
-    /// Number of shards (1 reproduces the monolithic engine bit for bit).
+    /// Number of shards (1 reproduces a bare [`Shard`] bit for bit).
     pub num_shards: usize,
     /// Per-shard repair-loop knobs; shard `k` solves with base seed
     /// `shard.seed + k` so shards draw decorrelated solver streams.
@@ -344,8 +344,8 @@ impl ShardedEngine {
     /// Creates a sharded engine over `instance`.
     ///
     /// `sigma` / `interest` are consulted only for event pairs and bid
-    /// pairs introduced by future deltas, exactly as in the monolithic
-    /// engine — but routed deltas evaluate them against **shard-local**
+    /// pairs introduced by future deltas, exactly as in a bare
+    /// [`Shard`] — but routed deltas evaluate them against **shard-local**
     /// user ids (attributes are preserved; ids are remapped), so both
     /// functions must be *id-independent*: pure functions of the event
     /// and user attribute vectors (`NeverConflict`, `TimeOverlapConflict`,
@@ -400,7 +400,7 @@ impl ShardedEngine {
         for k in 0..num_shards {
             let sub_instance = if num_shards == 1 {
                 // Bit-for-bit path: the single shard serves the instance
-                // itself, exactly as the monolithic engine would.
+                // itself, exactly as a bare shard over it would.
                 instance.clone()
             } else {
                 build_sub_instance(&instance, &locals[k], |v| quotas[v.index()][k])
@@ -443,6 +443,31 @@ impl ShardedEngine {
         }
     }
 
+    /// Creates a one-shard engine over `instance`: the single shard serves
+    /// the full instance itself, so applies, repairs and responses are
+    /// exactly those of a bare [`Shard`] over it. Resharding later places
+    /// users with a [`HashPartitioner`](igepa_core::HashPartitioner).
+    pub fn single(
+        instance: Instance,
+        sigma: Box<dyn ConflictFn + Send + Sync>,
+        interest: Box<dyn InterestFn + Send + Sync>,
+        solver: Box<dyn WarmStart + Send + Sync>,
+        config: EngineConfig,
+    ) -> Self {
+        ShardedEngine::new(
+            instance,
+            sigma,
+            interest,
+            solver,
+            Box::new(igepa_core::HashPartitioner),
+            ShardedConfig {
+                num_shards: 1,
+                shard: config,
+                ..ShardedConfig::default()
+            },
+        )
+    }
+
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.num_shards
@@ -480,8 +505,8 @@ impl ShardedEngine {
     }
 
     /// Aggregated repair-loop counters across shards, plus the rejections
-    /// caught by mirror validation. With one shard this equals the
-    /// monolithic engine's stats.
+    /// caught by mirror validation. With one shard this equals the stats
+    /// of a bare [`Shard`] over the full instance.
     pub fn stats(&self) -> EngineStats {
         // Seed the fold from the first shard (not `default()`) so a
         // single shard's counters — including a *negative* observed
@@ -541,7 +566,7 @@ impl ShardedEngine {
 
     /// Runs one cold solve of the full instance with the shared solver and
     /// reports `served / cold` (1.0 when the cold solve is empty). The
-    /// monolithic quality yardstick; does not modify the served state.
+    /// unpartitioned quality yardstick; does not modify the served state.
     pub fn cold_solve_ratio(&mut self) -> f64 {
         let seed = self.config.shard.seed.wrapping_add(self.probe_counter);
         self.probe_counter += 1;
@@ -608,7 +633,7 @@ impl ShardedEngine {
     /// Publishes one `AddEvent` to the catalogue and brings the mirror
     /// into lockstep by adopting the published matrix (σ evaluated
     /// exactly once, inside the publish). Infallible, like `AddEvent`
-    /// validation on the monolithic engine.
+    /// validation on a bare [`Shard`].
     fn publish_add_event(
         &mut self,
         capacity: usize,
@@ -626,7 +651,7 @@ impl ShardedEngine {
     }
 
     /// Applies a batch with one repair pass per touched shard. Semantics
-    /// match the monolithic engine: the prefix before the first invalid
+    /// match [`Shard::apply_batch`]: the prefix before the first invalid
     /// delta stays applied (and repaired) and the error is returned.
     pub fn apply_batch(&mut self, deltas: &[InstanceDelta]) -> Result<ApplyOutcome, CoreError> {
         let num_shards = self.num_shards;
@@ -672,7 +697,7 @@ impl ShardedEngine {
         let mut worst = RepairKind::Untouched;
         for k in 0..num_shards {
             // A single shard always receives the batch (even an empty
-            // one) so the monolithic repair-once path is reproduced.
+            // one) so the bare shard's repair-once path is reproduced.
             if per_shard[k].is_empty() && num_shards > 1 {
                 continue;
             }
@@ -857,7 +882,7 @@ impl ShardedEngine {
         let mut rebuilt = Vec::with_capacity(new_shards);
         for (j, arrangement) in new_arrangements.into_iter().enumerate() {
             let sub_instance = if new_shards == 1 {
-                // The monolithic bit-for-bit path of `new` / `restore`.
+                // The one-shard bit-for-bit path of `new` / `restore`.
                 self.mirror.clone()
             } else {
                 build_sub_instance(&self.mirror, &new_locals[j], |v| new_quotas[v.index()][j])
@@ -1272,7 +1297,7 @@ impl ShardedEngine {
     /// shard order. The transport's query cache mirrors them (they only
     /// change at barrier-executed reshards, which refresh the whole
     /// cache) so cached `ShardStats` answers stay bit-identical to the
-    /// serial backend's.
+    /// in-process service's.
     pub(crate) fn shard_migrations(&self) -> &[(u64, u64)] {
         &self.migrations
     }
@@ -1545,7 +1570,7 @@ impl ShardedEngine {
 
     /// Per-shard summaries for the `ShardStats` query. Mirror-level
     /// rejections never reach a shard, so they are attributed to shard 0
-    /// — exactly where the monolithic engine counts them, keeping the
+    /// — exactly where a bare shard counts them, keeping the
     /// one-shard response bit-for-bit identical.
     pub(crate) fn shard_stats_entries(&self) -> Vec<ShardStatsEntry> {
         self.shards
@@ -2393,5 +2418,176 @@ mod tests {
         assert_eq!(engine.instance().interaction(UserId::new(1)), 0.5);
         assert_eq!(engine.stats().deltas_applied, 1);
         assert_eq!(engine.stats().deltas_rejected, 1);
+    }
+
+    /// A one-shard engine over `num_events` capacity-2 events and
+    /// `num_users` capacity-2 users bidding on every event.
+    fn single_for(num_events: usize, num_users: usize) -> ShardedEngine {
+        let mut b = Instance::builder();
+        let events: Vec<EventId> = (0..num_events)
+            .map(|_| b.add_event(2, AttributeVector::empty()))
+            .collect();
+        for _ in 0..num_users {
+            b.add_user(2, AttributeVector::empty(), events.clone());
+        }
+        b.interaction_scores(vec![0.5; num_users]);
+        let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
+        ShardedEngine::single(
+            instance,
+            Box::new(NeverConflict),
+            Box::new(ConstantInterest(0.5)),
+            Box::new(GreedyArrangement),
+            EngineConfig::default(),
+        )
+    }
+
+    #[test]
+    fn single_initial_solve_is_feasible_and_nonempty() {
+        let engine = single_for(3, 4);
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+        assert!(!engine.merged_arrangement().is_empty());
+    }
+
+    #[test]
+    fn single_add_user_gets_seated_by_greedy_patch() {
+        let mut engine = single_for(2, 1);
+        let before_pairs = engine.merged_arrangement().len();
+        let outcome = engine
+            .apply(&InstanceDelta::AddUser {
+                capacity: 1,
+                attrs: AttributeVector::empty(),
+                bids: vec![EventId::new(0)],
+                interaction: 1.0,
+            })
+            .unwrap();
+        assert!(matches!(outcome.repair, RepairKind::GreedyPatch { .. }));
+        assert_eq!(outcome.num_pairs, before_pairs + 1);
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+    }
+
+    #[test]
+    fn single_capacity_shrink_evicts_overflow() {
+        let mut engine = single_for(1, 2);
+        assert_eq!(engine.merged_arrangement().load_of(EventId::new(0)), 2);
+        let outcome = engine
+            .apply(&InstanceDelta::UpdateCapacity {
+                target: CapacityTarget::Event(EventId::new(0)),
+                capacity: 1,
+            })
+            .unwrap();
+        assert!(matches!(
+            outcome.repair,
+            RepairKind::GreedyPatch { pruned: 1, .. }
+        ));
+        assert_eq!(engine.merged_arrangement().load_of(EventId::new(0)), 1);
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+    }
+
+    #[test]
+    fn single_remove_user_clears_their_assignments() {
+        let mut engine = single_for(2, 2);
+        engine
+            .apply(&InstanceDelta::RemoveUser {
+                user: UserId::new(0),
+            })
+            .unwrap();
+        assert!(engine
+            .merged_arrangement()
+            .events_of(UserId::new(0))
+            .is_empty());
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+    }
+
+    #[test]
+    fn single_rejected_delta_leaves_engine_intact() {
+        let mut engine = single_for(2, 2);
+        let utility = engine.utility();
+        let err = engine.apply(&InstanceDelta::UpdateInteractionScore {
+            user: UserId::new(9),
+            score: 0.5,
+        });
+        assert!(err.is_err());
+        assert_eq!(engine.utility(), utility);
+        assert_eq!(engine.stats().deltas_rejected, 1);
+        assert_eq!(engine.stats().deltas_applied, 0);
+    }
+
+    #[test]
+    fn single_batch_apply_repairs_once() {
+        let mut engine = single_for(2, 2);
+        let deltas: Vec<InstanceDelta> = (0..5)
+            .map(|i| InstanceDelta::AddUser {
+                capacity: 1,
+                attrs: AttributeVector::empty(),
+                bids: vec![EventId::new(i % 2)],
+                interaction: 0.5,
+            })
+            .collect();
+        let patches_before = engine.stats().greedy_patches + engine.stats().full_resolves;
+        engine.apply_batch(&deltas).unwrap();
+        let patches_after = engine.stats().greedy_patches + engine.stats().full_resolves;
+        assert_eq!(patches_after - patches_before, 1);
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+    }
+
+    #[test]
+    fn single_large_dirty_set_escalates_to_full_resolve() {
+        let mut engine = single_for(2, 4);
+        // Touch every user in one batch: dirty users (4) > 25% of 4 users.
+        let deltas: Vec<InstanceDelta> = (0..4)
+            .map(|u| InstanceDelta::UpdateInteractionScore {
+                user: UserId::new(u),
+                score: 0.9,
+            })
+            .collect();
+        let outcome = engine.apply_batch(&deltas).unwrap();
+        assert_eq!(outcome.repair, RepairKind::FullResolve);
+        assert_eq!(engine.stats().full_resolves, 1);
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+    }
+
+    #[test]
+    fn single_staleness_check_fires_on_interval() {
+        let mut b = Instance::builder();
+        let v = b.add_event(4, AttributeVector::empty());
+        b.add_user(1, AttributeVector::empty(), vec![v]);
+        b.interaction_scores(vec![0.5]);
+        let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
+        let mut engine = ShardedEngine::single(
+            instance,
+            Box::new(NeverConflict),
+            Box::new(ConstantInterest(0.5)),
+            Box::new(GreedyArrangement),
+            EngineConfig {
+                staleness_check_interval: 2,
+                ..EngineConfig::default()
+            },
+        );
+        for u in 0..4u32 {
+            engine
+                .apply(&InstanceDelta::UpdateInteractionScore {
+                    user: UserId::new(0),
+                    score: 0.1 + 0.1 * f64::from(u),
+                })
+                .unwrap();
+        }
+        assert_eq!(engine.stats().staleness_checks, 2);
+    }
+
+    #[test]
+    fn single_cold_solve_ratio_is_high_after_repairs() {
+        let mut engine = single_for(3, 3);
+        for i in 0..6 {
+            engine
+                .apply(&InstanceDelta::AddUser {
+                    capacity: 1,
+                    attrs: AttributeVector::empty(),
+                    bids: vec![EventId::new(i % 3)],
+                    interaction: 0.25,
+                })
+                .unwrap();
+        }
+        let ratio = engine.cold_solve_ratio();
+        assert!(ratio >= 0.95, "ratio {ratio} too low");
     }
 }

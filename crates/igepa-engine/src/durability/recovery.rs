@@ -12,7 +12,6 @@
 use crate::coordinator::ShardedEngine;
 use crate::durability::snapshot::{load_newest, EngineSnapshotState};
 use crate::durability::wal::{read_wal, WalError};
-use crate::service::EngineBackend;
 use std::path::Path;
 
 /// What recovery did, for reporting and for the `recover` CLI.
@@ -135,8 +134,8 @@ pub fn recover(
         report.replayed += 1;
         last_seq = record.seq;
     }
-    report.final_utility = engine.served_utility();
-    report.final_pairs = engine.served_pairs();
+    report.final_utility = engine.utility();
+    report.final_pairs = engine.num_pairs();
     Ok(Recovered {
         engine,
         report,

@@ -4,9 +4,8 @@
 //! (`tests/crash_recovery.rs`) into a *plan*: a seeded [`FaultPlan`]
 //! names which degradations to inject — slow shard applies, dropped
 //! worker view shipments, WAL stalls and a forced WAL append failure —
-//! and a [`FaultInjector`] carries it into
-//! [`EngineServer::serve_sharded_faulted`](crate::EngineServer::serve_sharded_faulted),
-//! deciding every injection site from a counter hash so the same plan
+//! and a [`FaultInjector`] carries it into a server through
+//! [`ServerOptions::faults`](crate::ServerOptions::faults), deciding every injection site from a counter hash so the same plan
 //! against the same request interleaving injects the same faults.
 //!
 //! The harness exists to *prove degradation invariants*, not to

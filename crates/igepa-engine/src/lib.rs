@@ -18,7 +18,7 @@
 //! 2. **Dirty tracking**: each applied delta reports the users and events
 //!    whose constraints or candidate sets changed; the engine folds them
 //!    into a [`igepa_core::DirtySet`].
-//! 3. **Warm-start repair** ([`Engine::apply`]): for small dirty sets the
+//! 3. **Warm-start repair** ([`Shard::apply`]): for small dirty sets the
 //!    engine runs a *greedy patch* — prune assignments made infeasible,
 //!    evict overflow at dirty events, then greedily re-admit the heaviest
 //!    feasible candidate pairs touching the dirty set. When the dirty set
@@ -111,20 +111,19 @@
 //! ## Sharded serving
 //!
 //! One repair loop caps how many users a process can serve. The crate
-//! therefore splits into three layers:
+//! therefore splits into two layers:
 //!
 //! * [`Shard`] ([`shard`]) — the reusable solve/repair core over one
 //!   slice of the users (all events, quota'd capacities);
-//! * [`Engine`] ([`engine`]) — the monolithic façade: exactly one shard
-//!   over the full instance, original API and behaviour;
 //! * [`ShardedEngine`] ([`coordinator`]) — N shards behind a routing
 //!   coordinator. Users are placed by a pluggable
 //!   [`Partitioner`](igepa_core::Partitioner); each event's capacity is
 //!   split into per-shard *quotas* that always sum to the true capacity,
 //!   which makes the merged arrangement feasible by construction. The
 //!   bounded quota-exchange protocol of [`reconcile`] moves slack quota
-//!   toward unmet demand at boundary events. `num_shards == 1`
-//!   reproduces the monolithic engine's responses bit for bit.
+//!   toward unmet demand at boundary events. With `num_shards == 1`
+//!   ([`ShardedEngine::single`]) the one shard serves the full instance
+//!   itself, so every apply is exactly a bare [`Shard`]'s.
 //!
 //! ## The shared event catalogue
 //!
@@ -152,8 +151,8 @@
 //! ## Service layer and TCP transport
 //!
 //! Protocol *semantics* live in one place: [`EngineService`] interprets
-//! requests against anything implementing [`EngineBackend`] (both engines
-//! do), so the monolithic and sharded paths can never drift. On the wire,
+//! requests against the [`ShardedEngine`], and the TCP dispatcher, the
+//! replay driver and crash recovery all go through it. On the wire,
 //! requests travel as versioned [`RequestEnvelope`]s and come back as
 //! [`ResponseEnvelope`]s whose `result` carries a typed [`EngineError`]
 //! on failure — while bare pre-envelope request lines still decode (and
@@ -162,8 +161,7 @@
 //! [`transport`] puts the envelopes on TCP: line- or length-prefix-framed
 //! JSONL, a blocking [`EngineClient`] (which also *pipelines*: send-ahead
 //! with correlation-id matching on receipt, removing the RTT-per-request
-//! floor), a serial [`EngineServer::serve`] for any backend, and
-//! [`EngineServer::serve_sharded`], which runs one worker thread per
+//! floor), and [`EngineServer::serve`], which runs one worker thread per
 //! shard — user-scoped deltas are validated on the coordinator and
 //! repaired concurrently on the owning shard's worker; broadcasts,
 //! batches and `Rebalance` barrier.
@@ -195,7 +193,7 @@
 //!   request (`Apply`, `ApplyBatch`, `Rebalance` — rejected ones
 //!   included, since rejections replay deterministically too) is
 //!   appended to a segmented, FNV-checksummed log *before* its
-//!   acknowledgement. [`EngineServer::serve_sharded_durable`] wires a
+//!   acknowledgement. [`ServerOptions::durability`] wires a
 //!   [`DurabilityController`] into the dispatcher; a failed append
 //!   refuses the request — what is not logged must not execute.
 //! * **Checkpoints** ([`durability::snapshot`]) — explicit `Checkpoint`
@@ -284,8 +282,8 @@
 //!
 //! The [`faults`] module closes the loop: a seeded
 //! [`FaultPlan`](faults::FaultPlan) injects slow shards, dropped worker
-//! view shipments and WAL stalls/failures into
-//! [`EngineServer::serve_sharded_faulted`], and the `overload` proptest
+//! view shipments and WAL stalls/failures into a server through
+//! [`ServerOptions::faults`], and the `overload` proptest
 //! suite proves the invariants under any plan — every accepted request
 //! gets exactly one typed response, the server neither panics nor
 //! deadlocks, and the merged arrangement stays feasible.
@@ -345,7 +343,7 @@
 //!                  HashPartitioner, InstanceDelta, NeverConflict};
 //! use igepa_algos::GreedyArrangement;
 //! use igepa_engine::{EngineClient, EngineQuery, EngineResponse, EngineServer,
-//!                    Framing, ShardedConfig, ShardedEngine};
+//!                    Framing, ServerOptions, ShardedConfig, ShardedEngine};
 //! use std::net::TcpListener;
 //!
 //! // Server: a 2-shard engine behind per-shard workers on an ephemeral port.
@@ -363,7 +361,7 @@
 //!     ShardedConfig::with_shards(2),
 //! );
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-//! let server = EngineServer::serve_sharded(listener, engine, Framing::Lines).unwrap();
+//! let server = EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
 //!
 //! // Client: blocking calls, versioned envelopes, typed errors.
 //! let mut client = EngineClient::connect(server.local_addr(), Framing::Lines).unwrap();
@@ -388,7 +386,7 @@
 //! ```
 //! use igepa_core::{AttributeVector, EventId, InstanceDelta, Instance,
 //!                  ConstantInterest, NeverConflict};
-//! use igepa_engine::{Engine, EngineConfig};
+//! use igepa_engine::{EngineConfig, ShardedEngine};
 //! use igepa_algos::GreedyArrangement;
 //!
 //! let mut b = Instance::builder();
@@ -397,7 +395,8 @@
 //! b.interaction_scores(vec![0.4]);
 //! let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
 //!
-//! let mut engine = Engine::new(
+//! // One shard over the whole instance.
+//! let mut engine = ShardedEngine::single(
 //!     instance,
 //!     Box::new(NeverConflict),
 //!     Box::new(ConstantInterest(0.5)),
@@ -410,7 +409,7 @@
 //!     bids: vec![EventId::new(0)],
 //!     interaction: 0.9,
 //! }).unwrap();
-//! assert!(engine.arrangement().is_feasible(engine.instance()));
+//! assert!(engine.merged_arrangement().is_feasible(engine.instance()));
 //! assert!(outcome.utility > 0.0);
 //! ```
 
@@ -420,7 +419,6 @@
 pub mod catalog;
 pub mod coordinator;
 pub mod durability;
-pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod protocol;
@@ -436,7 +434,6 @@ pub use durability::{
     recover, DurabilityController, EngineSnapshotState, Recovered, RecoveryError, RecoveryReport,
     WalRecord, STATE_VERSION,
 };
-pub use engine::{ApplyOutcome, Engine, EngineConfig, EngineStats, RepairKind};
 pub use error::{EngineError, EntityRef, RejectReason};
 pub use faults::{FaultCounts, FaultInjector, FaultPlan};
 pub use protocol::{
@@ -448,6 +445,11 @@ pub use protocol::{
 };
 pub use reconcile::ReconcileReport;
 pub use replay::{replay, replay_jsonl, LatencySummary, ReplayOutcome, ReplayReport};
-pub use service::{EngineBackend, EngineService};
-pub use shard::{AdmissionPolicy, BatchPolicy, DurabilityPolicy, Shard, ShardOp};
-pub use transport::{ClientError, EngineClient, EngineServer, Framing, RetryPolicy, ServerHandle};
+pub use service::EngineService;
+pub use shard::{
+    AdmissionPolicy, ApplyOutcome, BatchPolicy, DurabilityPolicy, EngineConfig, EngineStats,
+    RepairKind, Shard, ShardOp,
+};
+pub use transport::{
+    ClientError, EngineClient, EngineServer, Framing, RetryPolicy, ServerHandle, ServerOptions,
+};

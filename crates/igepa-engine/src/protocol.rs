@@ -5,12 +5,10 @@
 //! plus the initial instance snapshot fully determines every intermediate
 //! arrangement the engine served (the engine is deterministic).
 //!
-//! The protocol is **shard-aware** but degrades gracefully: every request
-//! is answered by both the monolithic [`Engine`] (which behaves as one
-//! logical shard — `ShardStats` returns a single entry, `Rebalance` is a
-//! no-op) and the [`ShardedEngine`]. A request log recorded against one
-//! backend replays against the other, and a `ShardedEngine` with one shard
-//! reproduces the monolithic responses bit for bit.
+//! The protocol is **shard-aware** but degrades gracefully: a
+//! [`ShardedEngine`] with one shard answers every request too
+//! (`ShardStats` returns a single entry, `Rebalance` moves no quota), so a
+//! request log recorded at one shard count replays at another.
 //!
 //! ## Envelopes
 //!
@@ -27,9 +25,9 @@
 //! (for `id`), `v` (for `version`) and `request` / `req` (for `body`).
 
 use crate::coordinator::{ShardStatsEntry, ShardedEngine};
-use crate::engine::{Engine, EngineStats, RepairKind};
 use crate::error::EngineError;
 use crate::reconcile::ReconcileReport;
+use crate::shard::{EngineStats, RepairKind};
 use igepa_core::{EventId, InstanceDelta, UserId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -55,8 +53,8 @@ pub enum EngineRequest {
         /// The mutations to apply, in order.
         deltas: Vec<InstanceDelta>,
     },
-    /// Run a cross-shard reconciliation pass now (no-op on a monolithic
-    /// engine, which has no boundary to reconcile).
+    /// Run a cross-shard reconciliation pass now (a one-shard engine has
+    /// no boundary to reconcile, so the pass moves no quota).
     Rebalance,
     /// Write a durability checkpoint now: serialize the engine state,
     /// compact the WAL segments it covers. Answered with
@@ -68,8 +66,7 @@ pub enum EngineRequest {
     /// columns, arrangement slice, exact-sum tracker contributions) and
     /// per-event quota share to its new owner, and rewrite the owner
     /// table — all without dropping a request. Answered with
-    /// [`EngineResponse::Resharded`]. A monolithic engine has one
-    /// logical shard and rejects any other target. On a durable server
+    /// [`EngineResponse::Resharded`]. On a durable server
     /// the request is WAL-logged (catalogue-epoch-tagged, so it orders
     /// against event broadcasts) before execution; replaying the log
     /// re-performs the identical migration, so recovery across a
@@ -125,7 +122,7 @@ pub enum EngineQuery {
     },
     /// Engine activity counters.
     Stats,
-    /// Per-shard activity summaries (one entry on a monolithic engine).
+    /// Per-shard activity summaries (one entry on a one-shard engine).
     ShardStats,
     /// The full served arrangement, merged across shards.
     MergedSnapshot,
@@ -520,20 +517,11 @@ pub fn decode_response_envelope(line: &str) -> Result<ResponseEnvelope, Protocol
 
 // ------------------------------------------------- thin handle wrappers
 
-impl Engine {
+impl ShardedEngine {
     /// Handles one protocol request, mutating the engine for `Apply` /
     /// `ApplyBatch` and answering queries read-only. Protocol semantics
     /// live in [`crate::service`]; this wrapper exists for callers that
     /// do not need a full [`EngineService`](crate::EngineService).
-    pub fn handle(&mut self, request: &EngineRequest) -> EngineResponse {
-        crate::service::handle_request(self, request)
-    }
-}
-
-impl ShardedEngine {
-    /// Handles one protocol request against the sharded engine. With one
-    /// shard every response matches the monolithic [`Engine`] bit for
-    /// bit. Protocol semantics live in [`crate::service`].
     pub fn handle(&mut self, request: &EngineRequest) -> EngineResponse {
         crate::service::handle_request(self, request)
     }

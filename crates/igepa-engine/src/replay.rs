@@ -4,8 +4,8 @@
 //! every response bit-for-bit (latencies are reported separately so the
 //! response stream itself stays deterministic).
 
+use crate::coordinator::ShardedEngine;
 use crate::protocol::{requests_from_jsonl, EngineRequest, EngineResponse, ProtocolError};
-pub use crate::service::EngineBackend;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -73,7 +73,7 @@ pub struct ReplayOutcome {
 }
 
 /// Replays a request log against `engine`, measuring per-request latency.
-pub fn replay<B: EngineBackend>(engine: &mut B, requests: &[EngineRequest]) -> ReplayOutcome {
+pub fn replay(engine: &mut ShardedEngine, requests: &[EngineRequest]) -> ReplayOutcome {
     let mut responses = Vec::with_capacity(requests.len());
     let mut latencies = Vec::with_capacity(requests.len());
     let mut applied = 0usize;
@@ -98,15 +98,15 @@ pub fn replay<B: EngineBackend>(engine: &mut B, requests: &[EngineRequest]) -> R
         rejected,
         queries,
         latency: LatencySummary::from_latencies(latencies),
-        final_utility: engine.served_utility(),
-        final_pairs: engine.served_pairs(),
+        final_utility: engine.utility(),
+        final_pairs: engine.num_pairs(),
     };
     ReplayOutcome { responses, report }
 }
 
 /// Parses a JSONL request log and replays it.
-pub fn replay_jsonl<B: EngineBackend>(
-    engine: &mut B,
+pub fn replay_jsonl(
+    engine: &mut ShardedEngine,
     text: &str,
 ) -> Result<ReplayOutcome, ProtocolError> {
     let requests = requests_from_jsonl(text)?;
@@ -116,21 +116,21 @@ pub fn replay_jsonl<B: EngineBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig};
     use crate::protocol::EngineQuery;
+    use crate::shard::EngineConfig;
     use igepa_algos::GreedyArrangement;
     use igepa_core::{
         AttributeVector, ConstantInterest, EventId, Instance, InstanceDelta, NeverConflict,
     };
 
-    fn fresh_engine() -> Engine {
+    fn fresh_engine() -> ShardedEngine {
         let mut b = Instance::builder();
         let v0 = b.add_event(2, AttributeVector::empty());
         let v1 = b.add_event(2, AttributeVector::empty());
         b.add_user(1, AttributeVector::empty(), vec![v0, v1]);
         b.interaction_scores(vec![0.6]);
         let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
-        Engine::new(
+        ShardedEngine::single(
             instance,
             Box::new(NeverConflict),
             Box::new(ConstantInterest(0.5)),

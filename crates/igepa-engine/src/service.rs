@@ -1,105 +1,28 @@
-//! The service layer: protocol semantics defined once, over any backend.
+//! The service layer: protocol semantics defined once.
 //!
-//! Before this module existed, [`Engine`](crate::Engine) and
-//! [`ShardedEngine`](crate::ShardedEngine) each carried their own ~90-line
-//! `handle`/`answer` implementation — two near-duplicate copies of the
-//! protocol's meaning that had already begun to drift. The redesign moves
-//! every semantic decision here:
+//! Every semantic decision of the protocol lives here, against the one
+//! serving engine, [`ShardedEngine`] (a one-shard engine built by
+//! [`ShardedEngine::single`] serves the unpartitioned instance). The
+//! TCP transport's dispatcher, the replay driver and crash recovery all
+//! call into this module, so they cannot drift apart.
 //!
-//! * [`EngineBackend`] is the complete surface a protocol implementation
-//!   needs from a serving engine (apply, rebalance, and the read-side
-//!   accessors). Both engines implement it; the monolithic one behaves as
-//!   a single logical shard.
-//! * [`EngineService`] interprets requests against a backend. It speaks
-//!   two dialects: the **legacy** path reproduces the pre-envelope
-//!   protocol bit for bit (stringly `Rejected`, silent `[]` / `(0, 0)`
-//!   answers for unknown ids), and the **strict** path — used for
-//!   [`RequestEnvelope`]s at [`PROTOCOL_VERSION`] — returns typed
-//!   [`EngineError`]s instead.
+//! [`EngineService`] speaks two dialects: the **legacy** path reproduces
+//! the pre-envelope protocol bit for bit (stringly `Rejected`, silent
+//! `[]` / `(0, 0)` answers for unknown ids), and the **strict** path —
+//! used for [`RequestEnvelope`]s at [`PROTOCOL_VERSION`] — returns typed
+//! [`EngineError`]s instead.
 //!
 //! A recorded pre-envelope JSONL log therefore replays through
 //! [`EngineService`] with byte-identical responses, while new clients get
 //! a versioned, typed API on the same code path.
 
-use crate::coordinator::{ShardStatsEntry, ShardedEngine};
-use crate::engine::Engine;
+use crate::coordinator::ShardedEngine;
 use crate::error::{EngineError, EntityRef};
 use crate::protocol::{
-    decode_request_envelope, EngineQuery, EngineRequest, EngineResponse, MigrationRecord,
-    RequestEnvelope, ResponseEnvelope, LEGACY_VERSION, PROTOCOL_VERSION,
+    decode_request_envelope, EngineQuery, EngineRequest, EngineResponse, RequestEnvelope,
+    ResponseEnvelope, LEGACY_VERSION, PROTOCOL_VERSION,
 };
-use crate::reconcile::ReconcileReport;
-use crate::shard::{ApplyOutcome, EngineStats};
-use igepa_core::{CoreError, EventId, InstanceDelta, UserId, UtilityBreakdown};
-
-/// Everything the protocol needs from a serving engine. The replay driver
-/// and the TCP transport are generic over this trait, so one service
-/// implementation covers monolithic and sharded serving.
-pub trait EngineBackend {
-    /// Applies one delta and repairs the served arrangement.
-    fn apply(&mut self, delta: &InstanceDelta) -> Result<ApplyOutcome, CoreError>;
-
-    /// Applies a burst of deltas with one repair pass per touched shard.
-    fn apply_batch(&mut self, deltas: &[InstanceDelta]) -> Result<ApplyOutcome, CoreError>;
-
-    /// Runs a reconciliation pass and reports it plus the utility after
-    /// the pass (a no-op report on a monolithic engine).
-    fn rebalance(&mut self) -> (ReconcileReport, f64);
-
-    /// Re-places every user across `num_shards` shards (see
-    /// [`ShardedEngine::reshard`]). A monolithic engine serves exactly one
-    /// logical shard: resharding *to* one is a no-op, any other target is
-    /// rejected. Errors are human-readable rejection details.
-    fn reshard(&mut self, num_shards: usize) -> Result<MigrationRecord, String>;
-
-    /// Utility breakdown of the served (merged) arrangement.
-    fn utility_breakdown(&self) -> UtilityBreakdown;
-
-    /// Users in the served instance (including retired ones).
-    fn num_users(&self) -> usize;
-
-    /// Events in the served instance.
-    fn num_events(&self) -> usize;
-
-    /// Events currently assigned to a user. Callers have already
-    /// bounds-checked `user`; the service layer decides how out-of-range
-    /// ids are reported.
-    fn assignments_of(&self, user: UserId) -> Vec<EventId>;
-
-    /// `(load, capacity)` of an in-range event.
-    fn event_load(&self, event: EventId) -> (usize, usize);
-
-    /// Aggregated activity counters.
-    fn engine_stats(&self) -> EngineStats;
-
-    /// Per-shard summaries (one entry on a monolithic engine).
-    fn shard_stats(&self) -> Vec<ShardStatsEntry>;
-
-    /// `(num_events, num_users, utility, pairs)` of the merged snapshot.
-    fn merged_snapshot(&self) -> (usize, usize, f64, Vec<(EventId, UserId)>);
-
-    /// Utility currently served (merged across shards where applicable).
-    fn served_utility(&self) -> f64;
-
-    /// Pairs currently served (merged across shards where applicable).
-    fn served_pairs(&self) -> usize;
-
-    /// Current epoch of the shared event catalogue (0 on backends without
-    /// one). WAL records carry it so a replayed log can be audited against
-    /// the catalogue history it was recorded under.
-    fn catalog_epoch(&self) -> u64 {
-        0
-    }
-
-    /// Handles one protocol request with legacy semantics. Defined once,
-    /// here, for every backend.
-    fn handle(&mut self, request: &EngineRequest) -> EngineResponse
-    where
-        Self: Sized,
-    {
-        handle_request(self, request)
-    }
-}
+use crate::shard::ApplyOutcome;
 
 /// Builds the `Applied` response from an apply outcome (shared by the
 /// service dispatch and the per-shard worker transport).
@@ -115,26 +38,27 @@ pub(crate) fn applied_response(outcome: ApplyOutcome) -> EngineResponse {
 /// The single protocol interpretation. `strict` selects the enveloped
 /// dialect: out-of-range query ids become [`EngineError::NotFound`]
 /// instead of the legacy silent `[]` / `(0, 0)` answers.
-fn try_dispatch<B: EngineBackend>(
-    backend: &mut B,
+fn try_dispatch(
+    engine: &mut ShardedEngine,
     request: &EngineRequest,
     strict: bool,
 ) -> Result<EngineResponse, EngineError> {
     match request {
-        EngineRequest::Apply { delta } => backend
+        EngineRequest::Apply { delta } => engine
             .apply(delta)
             .map(applied_response)
             .map_err(|e| EngineError::from(&e)),
-        EngineRequest::ApplyBatch { deltas } => backend
+        EngineRequest::ApplyBatch { deltas } => engine
             .apply_batch(deltas)
             .map(applied_response)
             .map_err(|e| EngineError::from(&e)),
         EngineRequest::Rebalance => {
-            let (report, utility) = backend.rebalance();
+            let report = engine.rebalance();
+            let utility = engine.merged_utility().total;
             Ok(EngineResponse::Rebalanced { report, utility })
         }
         // Checkpoints are an admin action on the durability layer; the
-        // durable TCP server intercepts them before dispatch. A backend
+        // durable TCP server intercepts them before dispatch. An engine
         // reached directly has no WAL to checkpoint.
         EngineRequest::Checkpoint => Err(EngineError::Rejected {
             reason: crate::error::RejectReason::Invalid {
@@ -145,27 +69,27 @@ fn try_dispatch<B: EngineBackend>(
         // pre/post checkpoints, worker-pool resize); dispatched directly it
         // is the bare engine-side migration, which is what WAL replay needs
         // to re-perform the identical re-placement.
-        EngineRequest::Reshard { num_shards } => backend
+        EngineRequest::Reshard { num_shards } => engine
             .reshard(*num_shards)
             .map(|record| {
-                let utility = backend.served_utility();
+                let utility = engine.utility();
                 EngineResponse::Resharded { record, utility }
             })
             .map_err(|detail| EngineError::Rejected {
                 reason: crate::error::RejectReason::Invalid { detail },
             }),
-        EngineRequest::Query { query } => answer(backend, *query, strict),
+        EngineRequest::Query { query } => answer(engine, *query, strict),
     }
 }
 
-fn answer<B: EngineBackend>(
-    backend: &B,
+fn answer(
+    engine: &ShardedEngine,
     query: EngineQuery,
     strict: bool,
 ) -> Result<EngineResponse, EngineError> {
     match query {
         EngineQuery::Utility => {
-            let breakdown = backend.utility_breakdown();
+            let breakdown = engine.merged_utility();
             Ok(EngineResponse::Utility {
                 total: breakdown.total,
                 interest_sum: breakdown.interest_sum,
@@ -173,7 +97,7 @@ fn answer<B: EngineBackend>(
             })
         }
         EngineQuery::AssignmentsOf { user } => {
-            if user.index() >= backend.num_users() {
+            if user.index() >= engine.instance().num_users() {
                 if strict {
                     return Err(EngineError::NotFound {
                         entity: EntityRef::User { user },
@@ -186,11 +110,11 @@ fn answer<B: EngineBackend>(
             }
             Ok(EngineResponse::Assignments {
                 user,
-                events: backend.assignments_of(user),
+                events: engine.assignments_of(user),
             })
         }
         EngineQuery::EventLoad { event } => {
-            if event.index() >= backend.num_events() {
+            if event.index() >= engine.instance().num_events() {
                 if strict {
                     return Err(EngineError::NotFound {
                         entity: EntityRef::Event { event },
@@ -202,30 +126,31 @@ fn answer<B: EngineBackend>(
                     capacity: 0,
                 });
             }
-            let (load, capacity) = backend.event_load(event);
             Ok(EngineResponse::EventLoad {
                 event,
-                load,
-                capacity,
+                load: (0..engine.num_shards())
+                    .map(|k| engine.shard(k).load_of(event))
+                    .sum(),
+                capacity: engine.instance().event(event).capacity,
             })
         }
         EngineQuery::Stats => Ok(EngineResponse::Stats {
-            stats: backend.engine_stats(),
+            stats: engine.stats(),
         }),
         EngineQuery::ShardStats => Ok(EngineResponse::ShardStats {
-            shards: backend.shard_stats(),
+            shards: engine.shard_stats_entries(),
         }),
         EngineQuery::MergedSnapshot => {
-            let (num_events, num_users, utility, pairs) = backend.merged_snapshot();
+            let merged = engine.merged_arrangement();
             Ok(EngineResponse::Snapshot {
-                num_events,
-                num_users,
-                utility,
-                pairs,
+                num_events: engine.instance().num_events(),
+                num_users: engine.instance().num_users(),
+                utility: merged.utility_value(engine.instance()),
+                pairs: merged.pairs().collect(),
             })
         }
         // The durable TCP server answers this at its dispatcher with live
-        // counters; a backend reached directly reports durability off.
+        // counters; an engine reached directly reports durability off.
         EngineQuery::DurabilityStats => Ok(EngineResponse::DurabilityStats {
             enabled: false,
             policy: "off".to_string(),
@@ -237,7 +162,7 @@ fn answer<B: EngineBackend>(
             last_checkpoint_seq: 0,
         }),
         // The TCP server answers this at its connection threads with live
-        // counters; a backend reached directly has no dispatch queue.
+        // counters; an engine reached directly has no dispatch queue.
         EngineQuery::OverloadStats => Ok(EngineResponse::OverloadStats {
             stats: crate::protocol::OverloadStats {
                 policy: "unbounded".to_string(),
@@ -254,11 +179,8 @@ fn answer<B: EngineBackend>(
 /// Handles one request with legacy (pre-envelope) semantics: rejections
 /// come back as the stringly `Rejected` response and out-of-range query
 /// ids answer silently. This is the path replayed request logs take.
-pub fn handle_request<B: EngineBackend>(
-    backend: &mut B,
-    request: &EngineRequest,
-) -> EngineResponse {
-    match try_dispatch(backend, request, false) {
+pub fn handle_request(engine: &mut ShardedEngine, request: &EngineRequest) -> EngineResponse {
+    match try_dispatch(engine, request, false) {
         Ok(response) => response,
         Err(EngineError::Rejected { reason }) => EngineResponse::Rejected {
             reason: reason.to_string(),
@@ -271,16 +193,16 @@ pub fn handle_request<B: EngineBackend>(
     }
 }
 
-/// Version-gated envelope dispatch against a backend; shared by
+/// Version-gated envelope dispatch; shared by
 /// [`EngineService::handle_envelope`] and the TCP transport's barrier
 /// path so the two can never disagree.
-pub(crate) fn dispatch_envelope<B: EngineBackend>(
-    backend: &mut B,
+pub(crate) fn dispatch_envelope(
+    engine: &mut ShardedEngine,
     envelope: &RequestEnvelope,
 ) -> ResponseEnvelope {
     let result = match envelope.version {
-        PROTOCOL_VERSION => try_dispatch(backend, &envelope.body, true),
-        LEGACY_VERSION => Ok(handle_request(backend, &envelope.body)),
+        PROTOCOL_VERSION => try_dispatch(engine, &envelope.body, true),
+        LEGACY_VERSION => Ok(handle_request(engine, &envelope.body)),
         version => Err(EngineError::Unsupported { version }),
     };
     ResponseEnvelope {
@@ -289,19 +211,27 @@ pub(crate) fn dispatch_envelope<B: EngineBackend>(
     }
 }
 
-/// The engine service: one backend plus the protocol interpretation.
+/// The engine service: the serving engine plus the protocol
+/// interpretation.
+///
+/// The type parameter is always [`ShardedEngine`]: it is defaulted, and
+/// the only `impl` block fixes it, so `EngineService` and
+/// `EngineService<ShardedEngine>` name the same type. It exists only so
+/// that callers which spell the type out as
+/// `EngineService<ShardedEngine>` (the end-to-end benchmark does) keep
+/// compiling.
 ///
 /// ```
 /// use igepa_core::{AttributeVector, ConstantInterest, Instance, NeverConflict};
 /// use igepa_algos::GreedyArrangement;
-/// use igepa_engine::{Engine, EngineConfig, EngineQuery, EngineRequest, EngineService};
+/// use igepa_engine::{EngineConfig, EngineQuery, EngineRequest, EngineService, ShardedEngine};
 ///
 /// let mut b = Instance::builder();
 /// let v = b.add_event(2, AttributeVector::empty());
 /// b.add_user(1, AttributeVector::empty(), vec![v]);
 /// b.interaction_scores(vec![0.4]);
 /// let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
-/// let engine = Engine::new(
+/// let engine = ShardedEngine::single(
 ///     instance,
 ///     Box::new(NeverConflict),
 ///     Box::new(ConstantInterest(0.5)),
@@ -315,29 +245,23 @@ pub(crate) fn dispatch_envelope<B: EngineBackend>(
 /// });
 /// assert!(matches!(response, igepa_engine::EngineResponse::Utility { .. }));
 /// ```
-pub struct EngineService<B: EngineBackend> {
-    backend: B,
+pub struct EngineService<E = ShardedEngine> {
+    backend: E,
 }
 
-impl<B: EngineBackend> EngineService<B> {
-    /// Wraps a backend.
-    pub fn new(backend: B) -> Self {
-        EngineService { backend }
+impl EngineService {
+    /// Wraps an engine.
+    pub fn new(engine: ShardedEngine) -> Self {
+        EngineService { backend: engine }
     }
 
-    /// The wrapped backend, read-only.
-    pub fn backend(&self) -> &B {
+    /// The wrapped engine, read-only.
+    pub fn backend(&self) -> &ShardedEngine {
         &self.backend
     }
 
-    /// The wrapped backend, mutable (for direct engine access between
-    /// requests).
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
-
-    /// Unwraps the backend.
-    pub fn into_backend(self) -> B {
+    /// Unwraps the engine.
+    pub fn into_backend(self) -> ShardedEngine {
         self.backend
     }
 
@@ -375,181 +299,15 @@ impl<B: EngineBackend> EngineService<B> {
     }
 }
 
-// ------------------------------------------------------- backend impls
-
-impl EngineBackend for Engine {
-    fn apply(&mut self, delta: &InstanceDelta) -> Result<ApplyOutcome, CoreError> {
-        Engine::apply(self, delta)
-    }
-
-    fn apply_batch(&mut self, deltas: &[InstanceDelta]) -> Result<ApplyOutcome, CoreError> {
-        Engine::apply_batch(self, deltas)
-    }
-
-    fn rebalance(&mut self) -> (ReconcileReport, f64) {
-        // A monolithic engine has no shard boundary to reconcile.
-        (ReconcileReport::default(), self.utility())
-    }
-
-    fn reshard(&mut self, num_shards: usize) -> Result<MigrationRecord, String> {
-        if num_shards == 1 {
-            // Already the requested shape: a vacuous migration.
-            return Ok(MigrationRecord {
-                from_shards: 1,
-                to_shards: 1,
-                moved_users: 0,
-                quota_moved: 0,
-                catalog_epoch: 0,
-            });
-        }
-        Err(format!(
-            "a monolithic engine serves one logical shard; cannot reshard to {num_shards}"
-        ))
-    }
-
-    fn utility_breakdown(&self) -> UtilityBreakdown {
-        // O(1): the engine's incrementally tracked breakdown (bit-identical
-        // to a from-scratch recompute over the served arrangement).
-        Engine::utility_breakdown(self)
-    }
-
-    fn num_users(&self) -> usize {
-        self.instance().num_users()
-    }
-
-    fn num_events(&self) -> usize {
-        self.instance().num_events()
-    }
-
-    fn assignments_of(&self, user: UserId) -> Vec<EventId> {
-        self.arrangement().events_of(user).to_vec()
-    }
-
-    fn event_load(&self, event: EventId) -> (usize, usize) {
-        (
-            self.arrangement().load_of(event),
-            self.instance().event(event).capacity,
-        )
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        *self.stats()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStatsEntry> {
-        vec![ShardStatsEntry {
-            shard: 0,
-            users: self.instance().num_users(),
-            pairs: self.arrangement().len(),
-            utility: self.utility(),
-            stats: *self.stats(),
-            moved_in: 0,
-            moved_out: 0,
-        }]
-    }
-
-    fn merged_snapshot(&self) -> (usize, usize, f64, Vec<(EventId, UserId)>) {
-        (
-            self.instance().num_events(),
-            self.instance().num_users(),
-            self.utility(),
-            self.arrangement().pairs().collect(),
-        )
-    }
-
-    fn served_utility(&self) -> f64 {
-        self.utility()
-    }
-
-    fn served_pairs(&self) -> usize {
-        self.arrangement().len()
-    }
-}
-
-impl EngineBackend for ShardedEngine {
-    fn apply(&mut self, delta: &InstanceDelta) -> Result<ApplyOutcome, CoreError> {
-        ShardedEngine::apply(self, delta)
-    }
-
-    fn apply_batch(&mut self, deltas: &[InstanceDelta]) -> Result<ApplyOutcome, CoreError> {
-        ShardedEngine::apply_batch(self, deltas)
-    }
-
-    fn rebalance(&mut self) -> (ReconcileReport, f64) {
-        let report = ShardedEngine::rebalance(self);
-        let utility = self.merged_utility().total;
-        (report, utility)
-    }
-
-    fn reshard(&mut self, num_shards: usize) -> Result<MigrationRecord, String> {
-        ShardedEngine::reshard(self, num_shards)
-    }
-
-    fn utility_breakdown(&self) -> UtilityBreakdown {
-        self.merged_utility()
-    }
-
-    fn num_users(&self) -> usize {
-        self.instance().num_users()
-    }
-
-    fn num_events(&self) -> usize {
-        self.instance().num_events()
-    }
-
-    fn assignments_of(&self, user: UserId) -> Vec<EventId> {
-        ShardedEngine::assignments_of(self, user)
-    }
-
-    fn event_load(&self, event: EventId) -> (usize, usize) {
-        (
-            (0..self.num_shards())
-                .map(|k| self.shard(k).load_of(event))
-                .sum(),
-            self.instance().event(event).capacity,
-        )
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats()
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStatsEntry> {
-        self.shard_stats_entries()
-    }
-
-    fn merged_snapshot(&self) -> (usize, usize, f64, Vec<(EventId, UserId)>) {
-        let merged = self.merged_arrangement();
-        (
-            self.instance().num_events(),
-            self.instance().num_users(),
-            merged.utility_value(self.instance()),
-            merged.pairs().collect(),
-        )
-    }
-
-    fn served_utility(&self) -> f64 {
-        self.utility()
-    }
-
-    fn served_pairs(&self) -> usize {
-        self.num_pairs()
-    }
-
-    fn catalog_epoch(&self) -> u64 {
-        self.catalog().epoch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
     use crate::error::RejectReason;
+    use crate::shard::EngineConfig;
     use igepa_algos::GreedyArrangement;
-    use igepa_core::{AttributeVector, ConstantInterest, Instance, NeverConflict};
+    use igepa_core::{AttributeVector, ConstantInterest, EventId, Instance, NeverConflict, UserId};
 
-    fn service_for(num_events: usize, num_users: usize) -> EngineService<Engine> {
+    fn service_for(num_events: usize, num_users: usize) -> EngineService {
         let mut b = Instance::builder();
         let events: Vec<EventId> = (0..num_events)
             .map(|_| b.add_event(2, AttributeVector::empty()))
@@ -559,7 +317,7 @@ mod tests {
         }
         b.interaction_scores(vec![0.5; num_users]);
         let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
-        EngineService::new(Engine::new(
+        EngineService::new(ShardedEngine::single(
             instance,
             Box::new(NeverConflict),
             Box::new(ConstantInterest(0.5)),

@@ -1,12 +1,11 @@
 //! The shard: delta application, dirty tracking and the warm-start repair
 //! loop over one slice of the user population.
 //!
-//! A [`Shard`] is the reusable solve/repair core extracted from the
-//! original monolithic engine. The single-instance [`crate::Engine`] wraps
-//! exactly one shard over the full instance; the sharded
-//! [`crate::ShardedEngine`] owns several, each serving a sub-instance that
-//! contains **all events** (with per-shard capacity *quotas*) but only the
-//! shard's users. Because bid, user-capacity and conflict constraints are
+//! A [`Shard`] is the reusable solve/repair core of the serving engine.
+//! [`crate::ShardedEngine`] owns one or more, each serving a sub-instance
+//! that contains **all events** (with per-shard capacity *quotas*) but
+//! only the shard's users; a one-shard engine's shard serves the full
+//! instance. Because bid, user-capacity and conflict constraints are
 //! per user, a shard's repair loop is self-contained; the only cross-shard
 //! coupling — event capacity — is handled by the coordinator moving quota
 //! between shards (see [`crate::reconcile`]).
@@ -440,7 +439,7 @@ pub(crate) struct ShardResume {
 }
 
 /// One long-lived solve/repair unit over a (sub-)instance. See the module
-/// docs; the public API mirrors the original monolithic engine.
+/// docs.
 pub struct Shard {
     instance: Instance,
     arrangement: Arrangement,
@@ -473,7 +472,7 @@ pub struct Shard {
     /// (so a consumer's stale copy can be patched in O(changed)), `None`
     /// after a wholesale replacement (full re-solve, batch solve,
     /// staleness adoption) forced a full resync — or when no consumer
-    /// ever armed the recorder (the monolithic engine), which keeps the
+    /// ever armed the recorder (a shard driven directly), which keeps the
     /// recording free off the serving path.
     view_ops: Option<ArrangementDiff>,
     /// Users admitted by the most recent greedy patch (`None` after a
@@ -762,7 +761,7 @@ impl Shard {
     /// and appends its newest event with this shard's capacity `quota` —
     /// amortised O(1) work before the repair. Bookkeeping matches
     /// [`Shard::apply`] of an `AddEvent` delta exactly, so a one-shard
-    /// engine stays bit-for-bit equal to the monolithic path.
+    /// engine stays bit-for-bit equal to a bare shard.
     pub fn apply_announcement(
         &mut self,
         snapshot: &Arc<CatalogSnapshot>,

@@ -15,18 +15,16 @@
 //!   [`EngineClient::pipeline`]): a whole burst goes on the wire before
 //!   the first response is read, with responses matched to outstanding
 //!   correlation ids on receipt — removing the RTT-per-request floor.
-//! * **[`EngineServer`]** — [`EngineServer::serve`] runs any
-//!   [`EngineBackend`] behind a single dispatch thread;
-//!   [`EngineServer::serve_sharded`] additionally detaches a
+//! * **[`EngineServer`]** — [`EngineServer::serve`] detaches a
 //!   [`ShardedEngine`]'s shards into **per-shard worker threads**. Shards
 //!   are independent between reconcile passes, so user-scoped `Apply`
 //!   requests are validated on the coordinator and executed concurrently
 //!   on the owning shard's worker, while event broadcasts, batches,
 //!   `Checkpoint` and `Rebalance` run a barrier (drain in-flight
 //!   applies, collect the shards, execute on the attached engine,
-//!   redistribute). [`EngineServer::serve_sharded_durable`] is the same
-//!   server with a [`DurabilityController`] in front of the dispatcher:
-//!   every admitted mutating request is appended to the write-ahead log
+//!   redistribute). With [`ServerOptions::durability`] set, a
+//!   [`DurabilityController`] sits in front of the dispatcher: every
+//!   admitted mutating request is appended to the write-ahead log
 //!   *before* it is dispatched (and so before its ack — a failed append
 //!   refuses the request), `Checkpoint` requests and automatic every-N
 //!   checkpoints serialize the engine at a barrier, and the
@@ -49,9 +47,10 @@
 //! client that has seen an apply ack can never be served the pre-apply
 //! epoch.
 //!
-//! A client driving requests synchronously observes exactly the serial
-//! [`EngineService`](crate::EngineService) responses — the worker pool
-//! and the query cache change *where* work runs, never what it produces.
+//! A client driving requests synchronously observes exactly the
+//! in-process [`EngineService`](crate::EngineService) responses — the
+//! worker pool and the query cache change *where* work runs, never what
+//! it produces.
 //! Concurrent clients interleave at request granularity in coordinator
 //! arrival order; the merged arrangement stays feasible because every
 //! delta still passes the coordinator's mirror validation and quota
@@ -66,7 +65,7 @@ use crate::protocol::{
     encode_response_envelope, EngineQuery, EngineRequest, EngineResponse, OverloadStats,
     ProtocolError, RequestEnvelope, ResponseEnvelope, LEGACY_VERSION, PROTOCOL_VERSION,
 };
-use crate::service::{applied_response, dispatch_envelope, EngineBackend, EngineService};
+use crate::service::{applied_response, dispatch_envelope};
 use crate::shard::{AdmissionPolicy, ApplyOutcome, EngineStats, Shard};
 use igepa_core::{
     ArrangementDiff, CapacityTarget, InstanceDelta, UserId, UtilityBreakdown, UtilityTracker,
@@ -627,8 +626,9 @@ struct QueryCache {
 
 struct CacheInner {
     views: Vec<ShardView>,
-    /// Mirror-validation rejections, attributed exactly as the serial
-    /// backend attributes them (aggregate stats and shard 0's entry).
+    /// Mirror-validation rejections, attributed exactly as
+    /// [`ShardedEngine::stats`] attributes them (aggregate stats and
+    /// shard 0's entry).
     rejected: u64,
     /// Global-user → `(shard, shard-local id)`, mirroring the
     /// coordinator's table. Append-only between barriers (`AddUser`
@@ -643,6 +643,21 @@ struct CacheInner {
     /// which refresh the whole cache, so fast-path installs never need
     /// to touch this.
     migrations: Vec<(u64, u64)>,
+}
+
+impl CacheInner {
+    /// The merged utility breakdown: a fresh [`UtilityTracker`] absorbing
+    /// every view's exact accumulators, rounded once — the same
+    /// computation as [`ShardedEngine::merged_utility`], so the cached
+    /// answer equals the in-process one bit for bit (summing the views'
+    /// rounded per-shard totals instead can drift by an ulp per shard).
+    fn merged_breakdown(&self) -> UtilityBreakdown {
+        let mut tracker = UtilityTracker::new();
+        for view in &self.views {
+            tracker.absorb(&view.tracker);
+        }
+        tracker.breakdown(self.views[0].breakdown.beta)
+    }
 }
 
 impl QueryCache {
@@ -762,9 +777,10 @@ impl QueryCache {
         self.write_inner().rejected = rejected;
     }
 
-    /// Answers one cacheable query, reproducing the serial service's
-    /// semantics bit for bit: same shard order, same float summation,
-    /// same rejected-delta attribution for the aggregates, and the same
+    /// Answers one cacheable query, reproducing the in-process
+    /// [`EngineService`](crate::EngineService) semantics bit for bit:
+    /// same shard order, the same exact utility merge, the same
+    /// rejected-delta attribution for the aggregates, and the same
     /// dialect split for the per-entity reads (`strict` selects typed
     /// `NotFound` over the legacy silent `[]` / `(0, 0)` answers).
     ///
@@ -781,21 +797,11 @@ impl QueryCache {
         let inner = self.read_inner();
         match query {
             EngineQuery::Utility => {
-                let mut total = 0.0;
-                let mut interest_sum = 0.0;
-                let mut interaction_sum = 0.0;
-                for view in &inner.views {
-                    // lint:allow(no-raw-float-accum): reproduces the serial backend's shard-order plain summation bit for bit
-                    total += view.breakdown.total;
-                    // lint:allow(no-raw-float-accum): same serial-semantics pin as the total above
-                    interest_sum += view.breakdown.interest_sum;
-                    // lint:allow(no-raw-float-accum): same serial-semantics pin as the total above
-                    interaction_sum += view.breakdown.interaction_sum;
-                }
+                let breakdown = inner.merged_breakdown();
                 Some(Ok(EngineResponse::Utility {
-                    total,
-                    interest_sum,
-                    interaction_sum,
+                    total: breakdown.total,
+                    interest_sum: breakdown.interest_sum,
+                    interaction_sum: breakdown.interaction_sum,
                 }))
             }
             EngineQuery::Stats => {
@@ -915,10 +921,10 @@ impl QueryCache {
     ///
     /// Bit-exactness: pairs are re-emitted per global user in ascending
     /// id order — exactly [`igepa_core::Arrangement::pairs`]'s order on
-    /// the merged arrangement — and the utility is read from a fresh
-    /// [`UtilityTracker`] absorbing every view's tracker, which by
-    /// exact-sum partition independence equals the serial backend's
-    /// from-scratch `merged.utility_value(instance)` bit for bit.
+    /// the merged arrangement — and the utility is
+    /// [`CacheInner::merged_breakdown`], which by exact-sum partition
+    /// independence equals the in-process from-scratch
+    /// `merged.utility_value(instance)` bit for bit.
     fn merged_snapshot(&self) -> Option<EngineResponse> {
         let inner = self.read_inner();
         let mut pairs = Vec::new();
@@ -930,15 +936,10 @@ impl QueryCache {
             let user = UserId::new(u);
             pairs.extend(view.events_of(local).iter().map(|&v| (v, user)));
         }
-        let mut tracker = UtilityTracker::new();
-        for view in &inner.views {
-            tracker.absorb(&view.tracker);
-        }
-        let beta = inner.views[0].breakdown.beta;
         Some(EngineResponse::Snapshot {
             num_events: inner.capacities.len(),
             num_users: inner.owners.len(),
-            utility: tracker.breakdown(beta).total,
+            utility: inner.merged_breakdown().total,
             pairs,
         })
     }
@@ -1025,7 +1026,7 @@ impl OverloadState {
         }
     }
 
-    /// One non-mutating (or serial-path) message entered the queue.
+    /// One non-mutating message entered the queue.
     /// Reads are always admitted: each connection keeps at most one
     /// request in the queue, so read depth is bounded by the
     /// connection count, and shedding them would defeat the "reads
@@ -1035,8 +1036,8 @@ impl OverloadState {
         self.high_water.fetch_max(depth, Ordering::SeqCst);
     }
 
-    /// One counted message was picked up for execution. Saturating:
-    /// wiring-bug messages were never counted in.
+    /// One counted message was picked up for execution. Saturating, so a
+    /// miscount can never wrap the gauge.
     fn note_dequeued(&self) {
         let _ = self
             .queue_depth
@@ -1079,12 +1080,8 @@ impl OverloadState {
 
 /// Messages flowing into a server's dispatch thread.
 enum ServerMsg {
-    /// One decoded-later wire line plus the channel its response goes to
-    /// (the serial server's path; connections decode nothing).
-    Request { line: String, reply: Sender<String> },
-    /// One envelope already decoded by the connection thread (the
-    /// sharded server's path; cacheable queries were answered before
-    /// ever reaching this queue).
+    /// One envelope already decoded by the connection thread (cacheable
+    /// queries were answered before ever reaching this queue).
     Envelope {
         envelope: RequestEnvelope,
         /// When the connection thread admitted the envelope; the
@@ -1103,7 +1100,7 @@ enum ServerMsg {
         envelope_id: u64,
         reply: Sender<String>,
     },
-    /// Stop dispatching and return the backend.
+    /// Stop dispatching and return the engine.
     Shutdown,
 }
 
@@ -1126,25 +1123,25 @@ enum WorkerMsg {
 }
 
 /// A running server: the bound address plus the handles needed to stop it
-/// and recover the backend.
-pub struct ServerHandle<B> {
+/// and recover the engine.
+pub struct ServerHandle {
     addr: SocketAddr,
     queue: Sender<ServerMsg>,
     shutdown: Arc<AtomicBool>,
     accept_handle: JoinHandle<()>,
-    dispatch_handle: JoinHandle<B>,
+    dispatch_handle: JoinHandle<ShardedEngine>,
 }
 
-impl<B> ServerHandle<B> {
+impl ServerHandle {
     /// The address the server is listening on (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
 
     /// Stops accepting, drains in-flight work, joins every thread and
-    /// returns the backend (with all shards re-attached, for the sharded
-    /// server) so callers can inspect the final served state.
-    pub fn shutdown(self) -> io::Result<B> {
+    /// returns the engine (with all shards re-attached) so callers can
+    /// inspect the final served state.
+    pub fn shutdown(self) -> io::Result<ShardedEngine> {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.queue.send(ServerMsg::Shutdown);
         // Wake the accept loop with a throwaway connection.
@@ -1158,163 +1155,118 @@ impl<B> ServerHandle<B> {
     }
 }
 
-/// Entry points for serving an engine over TCP.
-pub struct EngineServer;
-
-impl EngineServer {
-    /// Serves any backend behind one dispatch thread: requests from all
-    /// connections are executed serially against the wrapped
-    /// [`EngineService`], in arrival order.
-    pub fn serve<B: EngineBackend + Send + 'static>(
-        listener: TcpListener,
-        service: EngineService<B>,
-        framing: Framing,
-    ) -> io::Result<ServerHandle<B>> {
-        // The serial server carries no EngineConfig (its backend is
-        // generic), so it serves unbounded — exactly the pre-admission
-        // behaviour.
-        let overload = OverloadState::shared(AdmissionPolicy::Unbounded);
-        let dispatch_overload = Arc::clone(&overload);
-        spawn_server(
-            listener,
-            framing,
-            None,
-            overload,
-            move |queue_rx, _queue_tx| serial_dispatch(service, queue_rx, dispatch_overload),
-        )
-    }
-
-    /// Serves a [`ShardedEngine`] with one worker thread per shard:
-    /// user-scoped `Apply` requests run concurrently on the owning
-    /// shard's worker; aggregate queries are answered from the shared
-    /// [`QueryCache`] in the connection threads (no barrier, no dispatch
-    /// queue); everything else barriers (see the module docs).
-    pub fn serve_sharded(
-        listener: TcpListener,
-        engine: ShardedEngine,
-        framing: Framing,
-    ) -> io::Result<ServerHandle<ShardedEngine>> {
-        Self::serve_sharded_inner(listener, engine, framing, None, None)
-    }
-
-    /// [`EngineServer::serve_sharded`] plus durability: every admitted
-    /// mutating request is appended to `durability`'s write-ahead log
-    /// **before** it executes (and before its ack goes out), `Checkpoint`
-    /// requests write a consistent snapshot at a barrier and compact
-    /// covered WAL segments, `DurabilityStats` reads live counters, and
-    /// automatic checkpoints run every
+/// How [`EngineServer::serve`] runs: the wire framing plus the optional
+/// durability and fault-injection layers. `ServerOptions::from(framing)`
+/// (or [`Default`], line framing) serves with neither.
+#[derive(Default)]
+pub struct ServerOptions {
+    /// How documents are delimited on every connection.
+    pub framing: Framing,
+    /// Write-ahead log and checkpoints: every admitted mutating request
+    /// is appended **before** it executes (and before its ack goes out),
+    /// `Checkpoint` requests write a consistent snapshot at a barrier and
+    /// compact covered WAL segments, `DurabilityStats` reads live
+    /// counters, and automatic checkpoints run every
     /// [`DurabilityController::set_snapshot_every`] logged requests.
     /// After a crash, [`crate::durability::recover`] rebuilds the served
     /// state bit for bit from the durability directory.
-    pub fn serve_sharded_durable(
-        listener: TcpListener,
-        engine: ShardedEngine,
-        framing: Framing,
-        durability: DurabilityController,
-    ) -> io::Result<ServerHandle<ShardedEngine>> {
-        Self::serve_sharded_inner(listener, engine, framing, Some(durability), None)
-    }
+    pub durability: Option<DurabilityController>,
+    /// A deterministic [`FaultInjector`] wired into the worker pool and
+    /// the WAL path — the entry point of the fault-injection harness
+    /// ([`crate::faults`]). Keep a clone of the `Arc` to read
+    /// [`FaultInjector::counts`] after shutdown. A
+    /// [`FaultPlan::quiet`](crate::faults::FaultPlan::quiet) injector
+    /// serves identically to `None`.
+    pub faults: Option<Arc<FaultInjector>>,
+}
 
-    /// [`EngineServer::serve_sharded`] (or the durable flavour, when
-    /// `durability` is `Some`) with a deterministic [`FaultInjector`]
-    /// wired into the worker pool and the WAL path — the entry point
-    /// of the fault-injection harness ([`crate::faults`]). Keep a
-    /// clone of the `Arc` to read [`FaultInjector::counts`] after
-    /// shutdown. A [`FaultPlan::quiet`](crate::faults::FaultPlan::quiet)
-    /// injector serves identically to the plain flavours.
-    pub fn serve_sharded_faulted(
-        listener: TcpListener,
-        engine: ShardedEngine,
-        framing: Framing,
-        durability: Option<DurabilityController>,
-        faults: Arc<FaultInjector>,
-    ) -> io::Result<ServerHandle<ShardedEngine>> {
-        Self::serve_sharded_inner(listener, engine, framing, durability, Some(faults))
+impl From<Framing> for ServerOptions {
+    fn from(framing: Framing) -> Self {
+        ServerOptions {
+            framing,
+            ..ServerOptions::default()
+        }
     }
+}
 
-    fn serve_sharded_inner(
+/// The entry point for serving an engine over TCP.
+pub struct EngineServer;
+
+impl EngineServer {
+    /// Serves `engine` with one worker thread per shard: user-scoped
+    /// `Apply` requests run concurrently on the owning shard's worker;
+    /// read queries are answered from the shared query cache in the
+    /// connection threads (no barrier, no dispatch queue); everything
+    /// else barriers (see the module docs).
+    pub fn serve(
         listener: TcpListener,
         engine: ShardedEngine,
-        framing: Framing,
-        durability: Option<DurabilityController>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> io::Result<ServerHandle<ShardedEngine>> {
+        options: ServerOptions,
+    ) -> io::Result<ServerHandle> {
+        let ServerOptions {
+            framing,
+            durability,
+            faults,
+        } = options;
+        let addr = listener.local_addr()?;
         let cache = QueryCache::from_engine(&engine);
         // Admission comes from the engine's own config: the default
         // `AdmissionPolicy::Unbounded` reproduces the pre-admission
         // server exactly; a bounded policy makes overload a typed,
         // immediate refusal instead of unbounded queue growth.
         let overload = OverloadState::shared(engine.config().shard.admission);
+        let (queue_tx, queue_rx) = mpsc::channel::<ServerMsg>();
+        let shutdown = Arc::new(AtomicBool::new(false));
+
+        // Workers feed their completions into the same queue.
+        let completion_tx = queue_tx.clone();
+        let dispatch_cache = Arc::clone(&cache);
         let dispatch_overload = Arc::clone(&overload);
-        spawn_server(
-            listener,
-            framing,
-            Some(cache.clone()),
-            overload,
-            move |rx, tx| {
-                ShardDispatcher::new(engine, tx, cache, durability, dispatch_overload, faults)
-                    .run(rx)
-            },
-        )
-    }
-}
+        let dispatch_handle = thread::spawn(move || {
+            ShardDispatcher::new(
+                engine,
+                completion_tx,
+                dispatch_cache,
+                durability,
+                dispatch_overload,
+                faults,
+            )
+            .run(queue_rx)
+        });
 
-/// Spawns the accept loop and the dispatch thread shared by both server
-/// flavours. `dispatch` consumes the queue until shutdown and returns the
-/// backend; it also receives a sender so worker threads can feed
-/// completions into the same queue. With a `cache`, connection threads
-/// decode envelopes themselves and answer cacheable queries locally.
-fn spawn_server<B, F>(
-    listener: TcpListener,
-    framing: Framing,
-    cache: Option<Arc<QueryCache>>,
-    overload: Arc<OverloadState>,
-    dispatch: F,
-) -> io::Result<ServerHandle<B>>
-where
-    B: Send + 'static,
-    F: FnOnce(Receiver<ServerMsg>, Sender<ServerMsg>) -> B + Send + 'static,
-{
-    let addr = listener.local_addr()?;
-    let (queue_tx, queue_rx) = mpsc::channel::<ServerMsg>();
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    let dispatch_queue_tx = queue_tx.clone();
-    let dispatch_handle = thread::spawn(move || dispatch(queue_rx, dispatch_queue_tx));
-
-    let accept_queue = queue_tx.clone();
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_handle = thread::spawn(move || {
-        for stream in listener.incoming() {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                break;
+        let accept_queue = queue_tx.clone();
+        let accept_shutdown = Arc::clone(&shutdown);
+        let accept_handle = thread::spawn(move || {
+            for stream in listener.incoming() {
+                if accept_shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let queue = accept_queue.clone();
+                let cache = Arc::clone(&cache);
+                let overload = Arc::clone(&overload);
+                thread::spawn(move || connection_loop(stream, queue, framing, cache, overload));
             }
-            let Ok(stream) = stream else { continue };
-            let queue = accept_queue.clone();
-            let cache = cache.clone();
-            let overload = Arc::clone(&overload);
-            thread::spawn(move || connection_loop(stream, queue, framing, cache, overload));
-        }
-    });
+        });
 
-    Ok(ServerHandle {
-        addr,
-        queue: queue_tx,
-        shutdown,
-        accept_handle,
-        dispatch_handle,
-    })
+        Ok(ServerHandle {
+            addr,
+            queue: queue_tx,
+            shutdown,
+            accept_handle,
+            dispatch_handle,
+        })
+    }
 }
 
 /// Per-connection read/dispatch/write loop. Requests from one connection
 /// are answered in order; the loop ends on client disconnect, a dead
 /// dispatcher, or a write failure.
 ///
-/// With a query cache (the sharded server), the connection thread itself
-/// decodes each line: cacheable queries are answered straight from the
-/// cache — the read path shares nothing with the dispatch queue — and
-/// everything else is forwarded pre-decoded. Malformed lines answer
-/// locally under a per-connection fallback id.
+/// The connection thread itself decodes each line: cacheable queries are
+/// answered straight from the cache — the read path shares nothing with
+/// the dispatch queue — and everything else is forwarded pre-decoded.
+/// Malformed lines answer locally under a per-connection fallback id.
 ///
 /// The connection thread is also the **admission side** of overload
 /// control: a mutation is checked against the [`OverloadState`] *before*
@@ -1328,7 +1280,7 @@ fn connection_loop(
     stream: TcpStream,
     queue: Sender<ServerMsg>,
     framing: Framing,
-    cache: Option<Arc<QueryCache>>,
+    cache: Arc<QueryCache>,
     overload: Arc<OverloadState>,
 ) {
     stream.set_nodelay(true).ok();
@@ -1339,129 +1291,24 @@ fn connection_loop(
     let mut writer = stream;
     let mut fallback_seq = 0u64;
     while let Ok(Some(line)) = read_frame(&mut reader, framing) {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let msg = match &cache {
-            None => {
-                // Serial path: lines are opaque here, so every one is
-                // counted through the (always unbounded) depth gauge.
-                overload.note_enqueued();
-                ServerMsg::Request {
-                    line,
-                    reply: reply_tx,
-                }
-            }
-            Some(cache) => {
-                fallback_seq += 1;
-                let envelope = match decode_request_envelope(&line, fallback_seq) {
-                    Ok(envelope) => envelope,
-                    Err(e) => {
-                        let response = ResponseEnvelope {
-                            id: fallback_seq,
-                            result: Err(EngineError::Malformed { detail: e.message }),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                };
-                let supported =
-                    envelope.version == PROTOCOL_VERSION || envelope.version == LEGACY_VERSION;
-                if let (true, EngineRequest::Query { query }) = (supported, &envelope.body) {
-                    // `strict` selects the dialect for per-entity
-                    // reads: typed NotFound vs the legacy silent
-                    // answers (`strict == false` never errors).
-                    let strict = envelope.version == PROTOCOL_VERSION;
-                    if matches!(query, EngineQuery::OverloadStats) {
-                        // Answered right here from the shared atomics:
-                        // observing overload must neither queue behind
-                        // it nor barrier anything.
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result: Ok(EngineResponse::OverloadStats {
-                                stats: overload.stats(),
-                            }),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    if let Some(result) = cache.answer(*query, strict) {
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result,
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                    if matches!(query, EngineQuery::MergedSnapshot) {
-                        // Served from the cache when the views form a
-                        // consistent checkpoint (both dialects answer
-                        // identically); falls through to the barrier
-                        // path while an owner row is still unresolved.
-                        if let Some(snapshot) = cache.merged_snapshot() {
-                            let response = ResponseEnvelope {
-                                id: envelope.id,
-                                result: Ok(snapshot),
-                            };
-                            if write_frame(
-                                &mut writer,
-                                framing,
-                                &encode_response_envelope(&response),
-                            )
-                            .is_err()
-                            {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                // Admission: mutations pass the cap-and-degraded-mode
-                // gate (refusals are typed and immediate); everything
-                // else heading for the queue — the non-cacheable reads
-                // and barrier fallbacks — is always admitted, each
-                // connection contributing at most one queued request.
-                // Unsupported versions skip the gate so the dispatcher
-                // can answer `Unsupported` (the more specific error).
-                if supported && is_mutating(&envelope.body) {
-                    if let Err(refusal) = overload.try_enqueue_mutation() {
-                        let strict = envelope.version == PROTOCOL_VERSION;
-                        let response = ResponseEnvelope {
-                            id: envelope.id,
-                            result: shed_error(strict, refusal),
-                        };
-                        if write_frame(&mut writer, framing, &encode_response_envelope(&response))
-                            .is_err()
-                        {
-                            break;
-                        }
-                        continue;
-                    }
-                } else {
-                    overload.note_enqueued();
-                }
-                ServerMsg::Envelope {
+        fallback_seq += 1;
+        let response = match admit(&line, fallback_seq, &cache, &overload) {
+            Err(local) => encode_response_envelope(&local),
+            Ok(envelope) => {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                let msg = ServerMsg::Envelope {
                     envelope,
                     received_at: Instant::now(),
                     reply: reply_tx,
+                };
+                if queue.send(msg).is_err() {
+                    break;
                 }
+                let Ok(response) = reply_rx.recv() else {
+                    break;
+                };
+                response
             }
-        };
-        if queue.send(msg).is_err() {
-            break;
-        }
-        let Ok(response) = reply_rx.recv() else {
-            break;
         };
         if write_frame(&mut writer, framing, &response).is_err() {
             break;
@@ -1469,55 +1316,62 @@ fn connection_loop(
     }
 }
 
-/// The serial dispatcher: one service, strict arrival order.
-fn serial_dispatch<B: EngineBackend>(
-    mut service: EngineService<B>,
-    queue: Receiver<ServerMsg>,
-    overload: Arc<OverloadState>,
-) -> B {
-    let mut fallback_seq = 0u64;
-    while let Ok(msg) = queue.recv() {
-        match msg {
-            ServerMsg::Request { line, reply } => {
-                overload.note_dequeued();
-                fallback_seq += 1;
-                let envelope = service.handle_line(&line, fallback_seq);
-                let _ = reply.send(encode_response_envelope(&envelope));
-            }
-            // The serial accept loop never produces these — decoded
-            // envelopes and worker completions belong to the sharded
-            // server. Refuse them with a typed error instead of
-            // killing the dispatch thread over a wiring bug.
-            ServerMsg::Envelope {
-                envelope, reply, ..
-            } => {
-                respond(
-                    &reply,
-                    ResponseEnvelope {
-                        id: envelope.id,
-                        result: Err(EngineError::Internal {
-                            detail: "serial dispatcher received a pre-decoded envelope".to_string(),
-                        }),
-                    },
-                );
-            }
-            ServerMsg::Completion {
-                envelope_id, reply, ..
-            } => {
-                respond(
-                    &reply,
-                    ResponseEnvelope {
-                        id: envelope_id,
-                        result: Err(EngineError::Internal {
-                            detail: "serial dispatcher received a worker completion".to_string(),
-                        }),
-                    },
-                );
-            }
-            ServerMsg::Shutdown => break,
+/// Decodes one wire line in the connection thread and either answers it
+/// right here — `Err` with the response: malformed lines (under
+/// `fallback_id`), cache-served reads, admission refusals — or admits it
+/// to the dispatch queue — `Ok` with the envelope, already counted in the
+/// queue-depth gauge.
+fn admit(
+    line: &str,
+    fallback_id: u64,
+    cache: &QueryCache,
+    overload: &OverloadState,
+) -> Result<RequestEnvelope, ResponseEnvelope> {
+    let envelope = decode_request_envelope(line, fallback_id).map_err(|e| ResponseEnvelope {
+        id: fallback_id,
+        result: Err(EngineError::Malformed { detail: e.message }),
+    })?;
+    let supported = envelope.version == PROTOCOL_VERSION || envelope.version == LEGACY_VERSION;
+    // `strict` selects the dialect: typed errors (NotFound, Overloaded)
+    // vs the legacy silent answers and `Rejected` strings.
+    let strict = envelope.version == PROTOCOL_VERSION;
+    if let (true, EngineRequest::Query { query }) = (supported, &envelope.body) {
+        let local = match query {
+            // Answered from the shared atomics: observing overload must
+            // neither queue behind it nor barrier anything.
+            EngineQuery::OverloadStats => Some(Ok(EngineResponse::OverloadStats {
+                stats: overload.stats(),
+            })),
+            // Served from the cache when the views form a consistent
+            // checkpoint (both dialects answer identically); falls through
+            // to the barrier path while an owner row is still unresolved.
+            EngineQuery::MergedSnapshot => cache.merged_snapshot().map(Ok),
+            _ => cache.answer(*query, strict),
+        };
+        if let Some(result) = local {
+            return Err(ResponseEnvelope {
+                id: envelope.id,
+                result,
+            });
         }
     }
-    service.into_backend()
+    // Admission: mutations pass the cap-and-degraded-mode gate (refusals
+    // are typed and immediate); everything else heading for the queue —
+    // the non-cacheable reads and barrier fallbacks — is always admitted,
+    // each connection contributing at most one queued request.
+    // Unsupported versions skip the gate so the dispatcher can answer
+    // `Unsupported` (the more specific error).
+    if supported && is_mutating(&envelope.body) {
+        if let Err(refusal) = overload.try_enqueue_mutation() {
+            return Err(ResponseEnvelope {
+                id: envelope.id,
+                result: shed_error(strict, refusal),
+            });
+        }
+    } else {
+        overload.note_enqueued();
+    }
+    Ok(envelope)
 }
 
 /// Whether a delta routes to a single owning shard (the worker fast
@@ -1561,15 +1415,14 @@ struct ShardDispatcher {
     /// The query cache shared with every connection thread; this
     /// dispatcher is its only writer.
     cache: Arc<QueryCache>,
-    /// The write-ahead log + checkpoint controller of the durable server
-    /// flavour (`None` on [`EngineServer::serve_sharded`]). Mutating
-    /// requests are logged through it *before* they run.
+    /// The write-ahead log + checkpoint controller
+    /// ([`ServerOptions::durability`]). Mutating requests are logged
+    /// through it *before* they run.
     durability: Option<DurabilityController>,
     /// The shared overload counters: this dispatcher is the drain side
     /// (dequeue accounting, deadline expiry, the read-only latch).
     overload: Arc<OverloadState>,
-    /// The fault-injection harness, when serving through
-    /// [`EngineServer::serve_sharded_faulted`].
+    /// The fault-injection harness ([`ServerOptions::faults`]).
     faults: Option<Arc<FaultInjector>>,
     /// True after a lost view shipment (fault injection) until the
     /// recovery barrier refreshes the cache: installs are suppressed
@@ -1636,21 +1489,6 @@ impl ShardDispatcher {
                 },
             };
             match msg {
-                // Sharded connections decode envelopes themselves; a
-                // raw line here is a wiring bug. Refuse it (id 0: the
-                // line was never decoded, so no correlation id exists)
-                // without killing the dispatcher.
-                ServerMsg::Request { reply, .. } => {
-                    respond(
-                        &reply,
-                        ResponseEnvelope {
-                            id: 0,
-                            result: Err(EngineError::Internal {
-                                detail: "sharded dispatcher received an undecoded line".to_string(),
-                            }),
-                        },
-                    );
-                }
                 ServerMsg::Envelope {
                     envelope,
                     received_at,
@@ -1693,7 +1531,8 @@ impl ShardDispatcher {
     ) {
         // Version-gate BEFORE routing, mirroring `dispatch_envelope`: an
         // unsupported dialect must never reach the fast path and mutate
-        // state (the serial server answers `Unsupported` and so must we).
+        // state (the in-process service answers `Unsupported` and so must
+        // we).
         let strict = envelope.version == PROTOCOL_VERSION;
         if !strict && envelope.version != LEGACY_VERSION {
             respond(
@@ -1855,8 +1694,8 @@ impl ShardDispatcher {
                 self.resize_workers();
             }
             // Live durability counters, answered right here — no barrier,
-            // no backend dispatch. (The serial service answers the
-            // durability-off shape for backends reached directly.)
+            // no engine dispatch. (The in-process service answers the
+            // durability-off shape for an engine reached directly.)
             EngineRequest::Query {
                 query: EngineQuery::DurabilityStats,
             } => {
@@ -2390,7 +2229,8 @@ fn spawn_worker(
 mod tests {
     use super::*;
     use crate::coordinator::ShardedConfig;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::service::EngineService;
+    use crate::shard::EngineConfig;
     use igepa_algos::GreedyArrangement;
     use igepa_core::{
         AttributeVector, ConstantInterest, EventId, HashPartitioner, Instance, NeverConflict,
@@ -2462,17 +2302,16 @@ mod tests {
     }
 
     #[test]
-    fn serial_server_round_trips_requests() {
+    fn single_shard_server_round_trips_requests() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let engine = Engine::new(
+        let engine = ShardedEngine::single(
             base_instance(2, 3),
             Box::new(NeverConflict),
             Box::new(ConstantInterest(0.5)),
             Box::new(GreedyArrangement),
             EngineConfig::default(),
         );
-        let handle =
-            EngineServer::serve(listener, EngineService::new(engine), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(listener, engine, Framing::Lines.into()).unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
 
         let applied = client.apply(InstanceDelta::AddUser {
@@ -2498,13 +2337,13 @@ mod tests {
         drop(client);
         let engine = handle.shutdown().unwrap();
         assert_eq!(engine.instance().num_users(), 4);
-        assert!(engine.arrangement().is_feasible(engine.instance()));
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
     }
 
     #[test]
     fn sharded_server_matches_in_process_responses() {
-        // A synchronous client must observe exactly the serial service's
-        // responses: the worker pool changes where repairs run, not what
+        // A synchronous client must observe exactly the in-process
+        // service's responses: the worker pool changes where repairs run, not what
         // they produce.
         let requests: Vec<EngineRequest> = (0..40)
             .map(|i| match i % 7 {
@@ -2531,9 +2370,12 @@ mod tests {
             requests.iter().map(|r| serial.try_handle(r)).collect();
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(3, 8, 2), Framing::LengthPrefixed)
-                .unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(3, 8, 2),
+            ServerOptions::from(Framing::LengthPrefixed),
+        )
+        .unwrap();
         let mut client =
             EngineClient::connect(handle.local_addr(), Framing::LengthPrefixed).unwrap();
         let got: Vec<Result<EngineResponse, EngineError>> = requests
@@ -2564,8 +2406,12 @@ mod tests {
     #[test]
     fn live_reshard_grows_and_shrinks_with_zero_rejections() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(3, 8, 4), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(3, 8, 4),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let addr = handle.local_addr();
 
         // Two background clients hammer applies across both reshards.
@@ -2638,6 +2484,30 @@ mod tests {
         assert!(engine.merged_arrangement().is_feasible(engine.instance()));
     }
 
+    /// A `num_shards`-shard engine whose pair utilities are not dyadic
+    /// rationals (interest 0.3, interaction scores in tenths), so each
+    /// shard's rounded utility total carries its own rounding error and
+    /// summing those totals differs from the exact merged sum.
+    fn non_dyadic_sharded(num_shards: usize) -> ShardedEngine {
+        let mut b = Instance::builder();
+        let events: Vec<EventId> = (0..3)
+            .map(|_| b.add_event(4, AttributeVector::empty()))
+            .collect();
+        for _ in 0..6 {
+            b.add_user(2, AttributeVector::empty(), events.clone());
+        }
+        b.interaction_scores((0..6).map(|u| 0.1 + 0.1 * f64::from(u)).collect());
+        let instance = b.build(&NeverConflict, &ConstantInterest(0.3)).unwrap();
+        ShardedEngine::new(
+            instance,
+            Box::new(NeverConflict),
+            Box::new(ConstantInterest(0.3)),
+            Box::new(GreedyArrangement),
+            Box::new(HashPartitioner),
+            ShardedConfig::with_shards(num_shards),
+        )
+    }
+
     #[test]
     fn cached_reads_are_never_stale_after_apply_acks() {
         // The consistency pin of the barrier-free read path: the cache is
@@ -2645,12 +2515,20 @@ mod tests {
         // fast path, and by the pre-respond refresh on the barrier path
         // (broadcasts) — so a client that has seen the ack can never read
         // the pre-apply epoch. Drive both apply kinds over TCP and, after
-        // every single ack, compare each cacheable query against a serial
+        // every single ack, compare each cacheable query against an
         // in-process service fed the same stream — bit for bit.
-        let mut serial = EngineService::new(sharded_for(3, 6, 3));
+        assert_cached_reads_match_in_process(|| sharded_for(3, 6, 3));
+        // Non-dyadic utilities over three shards: the cached `Utility`
+        // must merge the views' exact accumulators like the in-process
+        // engine does, not sum their rounded per-shard totals.
+        assert_cached_reads_match_in_process(|| non_dyadic_sharded(3));
+    }
+
+    fn assert_cached_reads_match_in_process(engine: impl Fn() -> ShardedEngine) {
+        let mut serial = EngineService::new(engine());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let handle =
-            EngineServer::serve_sharded(listener, sharded_for(3, 6, 3), Framing::Lines).unwrap();
+            EngineServer::serve(listener, engine(), ServerOptions::from(Framing::Lines)).unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
 
         // Run past the periodic reconcile interval (64): the apply that
@@ -2744,9 +2622,12 @@ mod tests {
 
         let run = |pipelined: bool| -> Vec<Result<EngineResponse, EngineError>> {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let handle =
-                EngineServer::serve_sharded(listener, sharded_for(3, 6, 2), Framing::Lines)
-                    .unwrap();
+            let handle = EngineServer::serve(
+                listener,
+                sharded_for(3, 6, 2),
+                ServerOptions::from(Framing::Lines),
+            )
+            .unwrap();
             let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
             let results = if pipelined {
                 client.pipeline(requests.clone()).unwrap()
@@ -2774,8 +2655,12 @@ mod tests {
         // unbounded send-ahead could push through loopback socket
         // buffers without the server stalling) completes, in order.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
         let burst: Vec<EngineRequest> = (0..2000)
             .map(|i| match i % 2 {
@@ -2796,8 +2681,12 @@ mod tests {
     #[test]
     fn recv_rejects_ids_never_sent() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 2, 1), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 2, 1),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
         assert!(matches!(
             client.recv(42),
@@ -2823,8 +2712,12 @@ mod tests {
     #[test]
     fn sharded_server_survives_concurrent_clients() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(4, 8, 4), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(4, 8, 4),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let addr = handle.local_addr();
 
         let clients: Vec<_> = (0..4)
@@ -2856,12 +2749,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fast_path_version_gates_like_the_serial_server() {
+    fn fast_path_version_gates_like_the_in_process_service() {
         // An unsupported protocol version must answer Unsupported and
         // leave the engine untouched — even on the worker fast path.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
 
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -2893,8 +2790,12 @@ mod tests {
     #[test]
     fn legacy_bare_requests_work_over_the_wire() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
 
         // A hand-rolled legacy client: bare pre-envelope request lines.
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
@@ -2932,11 +2833,14 @@ mod tests {
         // explicit checkpoint mid-stream.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let controller = DurabilityController::create(&dir, DurabilityPolicy::Always).unwrap();
-        let handle = EngineServer::serve_sharded_durable(
+        let handle = EngineServer::serve(
             listener,
             sharded_for(3, 6, 2),
-            Framing::Lines,
-            controller,
+            ServerOptions {
+                framing: Framing::Lines,
+                durability: Some(controller),
+                faults: None,
+            },
         )
         .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
@@ -3225,11 +3129,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut controller = DurabilityController::create(&dir, DurabilityPolicy::Off).unwrap();
         controller.set_snapshot_every(8);
-        let handle = EngineServer::serve_sharded_durable(
+        let handle = EngineServer::serve(
             listener,
             sharded_for(2, 4, 2),
-            Framing::Lines,
-            controller,
+            ServerOptions {
+                framing: Framing::Lines,
+                durability: Some(controller),
+                faults: None,
+            },
         )
         .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
@@ -3281,7 +3188,8 @@ mod tests {
     fn bounded_admission_sheds_mutations_and_keeps_reads_flowing() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let engine = sharded_with_admission(2, 4, 2, AdmissionPolicy::bounded(0));
-        let handle = EngineServer::serve_sharded(listener, engine, Framing::Lines).unwrap();
+        let handle =
+            EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
 
         // Every mutation is refused immediately with the typed error —
@@ -3321,7 +3229,8 @@ mod tests {
         // a silent drop.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let engine = sharded_with_admission(2, 4, 2, AdmissionPolicy::bounded(0));
-        let handle = EngineServer::serve_sharded(listener, engine, Framing::Lines).unwrap();
+        let handle =
+            EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
 
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -3348,8 +3257,12 @@ mod tests {
     #[test]
     fn zero_deadline_expires_before_dispatch() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
 
         // A zero budget has always expired by dequeue time — the
@@ -3404,9 +3317,12 @@ mod tests {
         let mut runs: Vec<Vec<Result<EngineResponse, EngineError>>> = Vec::new();
         for window in [1usize, 4096] {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let handle =
-                EngineServer::serve_sharded(listener, sharded_for(3, 6, 2), Framing::Lines)
-                    .unwrap();
+            let handle = EngineServer::serve(
+                listener,
+                sharded_for(3, 6, 2),
+                ServerOptions::from(Framing::Lines),
+            )
+            .unwrap();
             let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
             client.set_pipeline_window(0);
             assert_eq!(client.pipeline_window(), 1, "window clamps to at least 1");
@@ -3461,7 +3377,8 @@ mod tests {
     fn call_with_retry_retries_overloaded_then_gives_up() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let engine = sharded_with_admission(2, 4, 2, AdmissionPolicy::bounded(0));
-        let handle = EngineServer::serve_sharded(listener, engine, Framing::Lines).unwrap();
+        let handle =
+            EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
 
         let policy = RetryPolicy {
@@ -3485,8 +3402,12 @@ mod tests {
     #[test]
     fn query_resilient_reconnects_and_replays_after_connection_loss() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handle =
-            EngineServer::serve_sharded(listener, sharded_for(2, 4, 2), Framing::Lines).unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
         let expected = client.query(EngineQuery::Utility).unwrap();
 
@@ -3522,12 +3443,14 @@ mod tests {
             wal_fail_at: Some(3),
             ..FaultPlan::quiet()
         }));
-        let handle = EngineServer::serve_sharded_faulted(
+        let handle = EngineServer::serve(
             listener,
             sharded_for(2, 4, 2),
-            Framing::Lines,
-            Some(controller),
-            Arc::clone(&faults),
+            ServerOptions {
+                framing: Framing::Lines,
+                durability: Some(controller),
+                faults: Some(Arc::clone(&faults)),
+            },
         )
         .unwrap();
         let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
@@ -3610,12 +3533,14 @@ mod tests {
         for (p, plan) in plans.into_iter().enumerate() {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let faults = Arc::new(FaultInjector::new(plan));
-            let handle = EngineServer::serve_sharded_faulted(
+            let handle = EngineServer::serve(
                 listener,
                 sharded_for(3, 6, 2),
-                Framing::Lines,
-                None,
-                Arc::clone(&faults),
+                ServerOptions {
+                    framing: Framing::Lines,
+                    durability: None,
+                    faults: Some(Arc::clone(&faults)),
+                },
             )
             .unwrap();
             let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();

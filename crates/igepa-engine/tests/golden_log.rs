@@ -4,9 +4,9 @@
 //! in the *pre-envelope* wire format (bare `EngineRequest` lines, as every
 //! log recorded before the service-layer redesign). The contract pinned
 //! here: that log must keep decoding, and replaying it through the new
-//! [`EngineService`] must keep producing **byte-identical** responses —
-//! on the monolithic engine and on a one-shard `ShardedEngine` alike —
-//! matching `tests/golden/pre_envelope_responses.jsonl`.
+//! [`EngineService`] over a one-shard `ShardedEngine` must keep producing
+//! **byte-identical** responses, matching
+//! `tests/golden/pre_envelope_responses.jsonl`.
 //!
 //! Regenerate both files with `UPDATE_GOLDEN=1 cargo test -p igepa-engine
 //! --test golden_log` after an *intentional* protocol change, and review
@@ -14,12 +14,12 @@
 
 use igepa_algos::GreedyArrangement;
 use igepa_core::{
-    AttributeVector, CapacityTarget, ConstantInterest, EventId, HashPartitioner, Instance,
-    InstanceDelta, NeverConflict, UserId,
+    AttributeVector, CapacityTarget, ConstantInterest, EventId, Instance, InstanceDelta,
+    NeverConflict, UserId,
 };
 use igepa_engine::{
-    encode_response, replay, requests_from_jsonl, requests_to_jsonl, Engine, EngineBackend,
-    EngineConfig, EngineQuery, EngineRequest, EngineService, ShardedConfig, ShardedEngine,
+    encode_response, replay, requests_from_jsonl, requests_to_jsonl, EngineConfig, EngineQuery,
+    EngineRequest, EngineService, ShardedEngine,
 };
 use std::path::PathBuf;
 
@@ -41,24 +41,13 @@ fn base_instance() -> Instance {
     b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap()
 }
 
-fn monolithic() -> Engine {
-    Engine::new(
+fn one_shard() -> ShardedEngine {
+    ShardedEngine::single(
         base_instance(),
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),
         Box::new(GreedyArrangement),
         EngineConfig::default(),
-    )
-}
-
-fn sharded_one() -> ShardedEngine {
-    ShardedEngine::new(
-        base_instance(),
-        Box::new(NeverConflict),
-        Box::new(ConstantInterest(0.5)),
-        Box::new(GreedyArrangement),
-        Box::new(HashPartitioner),
-        ShardedConfig::default(),
     )
 }
 
@@ -174,8 +163,8 @@ fn scripted_requests() -> Vec<EngineRequest> {
 
 /// Replays `requests` through a fresh service and renders the responses
 /// as JSONL, exactly as a response recorder would.
-fn responses_jsonl<B: EngineBackend>(backend: B, requests: &[EngineRequest]) -> String {
-    let mut service = EngineService::new(backend);
+fn responses_jsonl(engine: ShardedEngine, requests: &[EngineRequest]) -> String {
+    let mut service = EngineService::new(engine);
     requests
         .iter()
         .map(|request| encode_response(&service.handle(request)) + "\n")
@@ -183,7 +172,7 @@ fn responses_jsonl<B: EngineBackend>(backend: B, requests: &[EngineRequest]) -> 
 }
 
 #[test]
-fn golden_log_replays_byte_identically_on_both_backends() {
+fn golden_log_replays_byte_identically_through_the_service() {
     let dir = golden_dir();
     let requests_path = dir.join("pre_envelope_requests.jsonl");
     let responses_path = dir.join("pre_envelope_responses.jsonl");
@@ -193,7 +182,7 @@ fn golden_log_replays_byte_identically_on_both_backends() {
         std::fs::write(&requests_path, requests_to_jsonl(&scripted_requests())).unwrap();
         std::fs::write(
             &responses_path,
-            responses_jsonl(monolithic(), &scripted_requests()),
+            responses_jsonl(one_shard(), &scripted_requests()),
         )
         .unwrap();
     }
@@ -210,14 +199,9 @@ fn golden_log_replays_byte_identically_on_both_backends() {
     let golden = std::fs::read_to_string(&responses_path)
         .expect("checked-in golden response log is readable");
     assert_eq!(
-        responses_jsonl(monolithic(), &requests),
+        responses_jsonl(one_shard(), &requests),
         golden,
-        "monolithic responses drifted from the golden log"
-    );
-    assert_eq!(
-        responses_jsonl(sharded_one(), &requests),
-        golden,
-        "one-shard sharded responses drifted from the golden log"
+        "one-shard responses drifted from the golden log"
     );
 }
 
@@ -227,7 +211,7 @@ fn golden_log_replays_through_the_replay_driver() {
     // stream must match a hand-driven service byte for byte too.
     let log = std::fs::read_to_string(golden_dir().join("pre_envelope_requests.jsonl")).unwrap();
     let requests = requests_from_jsonl(&log).unwrap();
-    let outcome = replay(&mut monolithic(), &requests);
+    let outcome = replay(&mut one_shard(), &requests);
     let driven: String = outcome
         .responses
         .iter()

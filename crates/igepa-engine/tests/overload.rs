@@ -17,8 +17,8 @@ use igepa_core::{
 };
 use igepa_engine::{
     AdmissionPolicy, ClientError, EngineClient, EngineConfig, EngineError, EngineQuery,
-    EngineRequest, EngineResponse, EngineServer, FaultInjector, FaultPlan, Framing, ShardedConfig,
-    ShardedEngine,
+    EngineRequest, EngineResponse, EngineServer, FaultInjector, FaultPlan, Framing, ServerOptions,
+    ShardedConfig, ShardedEngine,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -133,13 +133,7 @@ proptest! {
             ..FaultPlan::quiet()
         }));
         let engine = engine_with_admission(fault_seed ^ 0x5eed, AdmissionPolicy::bounded(cap));
-        let handle = EngineServer::serve_sharded_faulted(
-            listener,
-            engine,
-            Framing::Lines,
-            None,
-            Arc::clone(&faults),
-        )
+        let handle = EngineServer::serve(listener, engine, ServerOptions { framing: Framing::Lines, durability: None, faults: Some(Arc::clone(&faults)) })
         .unwrap();
         let addr = handle.local_addr();
 
@@ -234,7 +228,8 @@ fn legacy_config_decodes_unbounded_and_serves_unthrottled() {
             reconcile_rounds: 2,
         },
     );
-    let handle = EngineServer::serve_sharded(listener, engine, Framing::Lines).unwrap();
+    let handle =
+        EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
     let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
     for i in 0..32 {
         let response = client.call(request_for((0, i, 0.5))).unwrap();

@@ -12,7 +12,7 @@ use igepa_core::{
     NeverConflict, PairSetConflict, UserId,
 };
 use igepa_datagen::{generate_trace, TraceConfig};
-use igepa_engine::{replay, Engine, EngineConfig, EngineRequest};
+use igepa_engine::{replay, EngineConfig, EngineRequest, ShardedEngine};
 use proptest::prelude::*;
 
 /// A delta described by raw numbers; resolved against the engine's evolving
@@ -115,8 +115,8 @@ fn seeded_instance(num_events: usize, num_users: usize, conflicts: bool) -> Inst
     }
 }
 
-fn engine_over(instance: Instance, seed: u64) -> Engine {
-    Engine::new(
+fn engine_over(instance: Instance, seed: u64) -> ShardedEngine {
+    ShardedEngine::single(
         instance,
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),
@@ -143,14 +143,14 @@ proptest! {
     ) {
         let instance = seeded_instance(num_events, num_users, with_conflicts);
         let mut engine = engine_over(instance, seed);
-        prop_assert!(engine.arrangement().is_feasible(engine.instance()));
+        prop_assert!(engine.merged_arrangement().is_feasible(engine.instance()));
         for raw in &raws {
             let delta = resolve(raw, engine.instance());
             let outcome = engine.apply(&delta);
             prop_assert!(outcome.is_ok(), "resolved delta rejected: {:?}", outcome.err());
             // The serving invariant: feasible after every single delta.
             prop_assert!(
-                engine.arrangement().is_feasible(engine.instance()),
+                engine.merged_arrangement().is_feasible(engine.instance()),
                 "infeasible after {:?}",
                 delta.kind()
             );
@@ -201,10 +201,10 @@ proptest! {
         seed in 0u64..50,
     ) {
         let instance = seeded_instance(num_events, num_users, with_conflicts);
-        let mut engines: Vec<Engine> = [1usize, 2, 4]
+        let mut engines: Vec<ShardedEngine> = [1usize, 2, 4]
             .into_iter()
             .map(|repair_threads| {
-                Engine::new(
+                ShardedEngine::single(
                     instance.clone(),
                     Box::new(NeverConflict),
                     Box::new(ConstantInterest(0.5)),
@@ -230,14 +230,14 @@ proptest! {
                     baseline.utility().to_bits(),
                     other.utility().to_bits(),
                     "utility diverged at {} threads after {:?}",
-                    other.config().repair_threads,
+                    other.config().shard.repair_threads,
                     delta.kind()
                 );
                 prop_assert_eq!(
-                    baseline.arrangement().pairs().collect::<Vec<_>>(),
-                    other.arrangement().pairs().collect::<Vec<_>>(),
+                    baseline.merged_arrangement().pairs().collect::<Vec<_>>(),
+                    other.merged_arrangement().pairs().collect::<Vec<_>>(),
                     "pairs diverged at {} threads after {:?}",
-                    other.config().repair_threads,
+                    other.config().shard.repair_threads,
                     delta.kind()
                 );
                 prop_assert_eq!(baseline.stats(), other.stats());
@@ -255,7 +255,7 @@ proptest! {
         let instance = seeded_instance(num_events, num_users, false);
         let mut engine = engine_over(instance, 1);
         let utility_before = engine.utility();
-        let pairs_before = engine.arrangement().len();
+        let pairs_before = engine.num_pairs();
         let bad_user = UserId::new(engine.instance().num_users() + offset);
         let result = engine.apply(&InstanceDelta::UpdateInteractionScore {
             user: bad_user,
@@ -263,7 +263,7 @@ proptest! {
         });
         prop_assert!(result.is_err());
         prop_assert_eq!(engine.utility().to_bits(), utility_before.to_bits());
-        prop_assert_eq!(engine.arrangement().len(), pairs_before);
+        prop_assert_eq!(engine.num_pairs(), pairs_before);
     }
 }
 
@@ -281,7 +281,7 @@ fn generated_trace_replays_end_to_end_with_bounded_drift() {
         },
         42,
     );
-    let mut engine = Engine::new(
+    let mut engine = ShardedEngine::single(
         instance,
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),
@@ -295,7 +295,7 @@ fn generated_trace_replays_end_to_end_with_bounded_drift() {
     );
     for timed in &trace.deltas {
         engine.apply(&timed.delta).expect("trace deltas are valid");
-        assert!(engine.arrangement().is_feasible(engine.instance()));
+        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
     }
     let ratio = engine.cold_solve_ratio();
     assert!(ratio >= 0.95, "final utility only {ratio:.3} of cold solve");

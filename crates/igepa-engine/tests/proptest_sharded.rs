@@ -4,9 +4,10 @@
 //!   merged arrangement stays feasible for the full-capacity global
 //!   instance (capacities, conflicts, bids — Definition 4) and the
 //!   per-event quota invariant holds;
-//! * a `ShardedEngine` with **one shard** reproduces the monolithic
-//!   `Engine`'s protocol responses **bit for bit**, across applies,
-//!   batches, queries and rebalances;
+//! * a `ShardedEngine` with **one shard** reproduces a bare `Shard` over
+//!   the full instance **bit for bit** — apply outcomes, rejections,
+//!   stats, utility bits and pair sets — across applies, batches,
+//!   queries and rebalances;
 //! * reconciliation (periodic and explicit) never breaks feasibility and
 //!   never loses pairs.
 
@@ -16,9 +17,11 @@ use igepa_core::{
     InstanceDelta, NeverConflict, PairSetConflict, UserId,
 };
 use igepa_engine::{
-    encode_response, Engine, EngineConfig, EngineQuery, EngineRequest, ShardedConfig, ShardedEngine,
+    encode_response, EngineConfig, EngineError, EngineQuery, EngineRequest, EngineResponse,
+    ReconcileReport, Shard, ShardStatsEntry, ShardedConfig, ShardedEngine,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A delta described by raw numbers; resolved against the engine's evolving
 /// population at apply time so it is always valid.
@@ -159,18 +162,125 @@ fn sharded_over(instance: Instance, seed: u64, shards: usize, interval: u64) -> 
     )
 }
 
-fn monolithic_over(instance: Instance, seed: u64) -> Engine {
-    Engine::new(
+/// The reference a one-shard engine must reproduce: a bare [`Shard`]
+/// serving the full instance with the same knobs.
+fn bare_shard_over(instance: Instance, seed: u64) -> Shard {
+    Shard::new(
         instance,
-        Box::new(NeverConflict),
-        Box::new(ConstantInterest(0.5)),
-        Box::new(GreedyArrangement),
+        Arc::new(NeverConflict),
+        Arc::new(ConstantInterest(0.5)),
+        Arc::new(GreedyArrangement),
         EngineConfig {
             seed,
             staleness_check_interval: 8,
             ..EngineConfig::default()
         },
     )
+}
+
+/// Legacy-dialect answer of `request` computed from a bare shard alone:
+/// applies run on the shard, queries read its state, and a rebalance is
+/// a no-op (one shard has no boundary to reconcile).
+fn bare_shard_response(shard: &mut Shard, request: &EngineRequest) -> EngineResponse {
+    let applied = |result: Result<igepa_engine::ApplyOutcome, igepa_core::CoreError>| match result {
+        Ok(outcome) => EngineResponse::Applied {
+            kind: outcome.kind,
+            repair: outcome.repair,
+            utility: outcome.utility,
+            num_pairs: outcome.num_pairs,
+        },
+        Err(e) => EngineResponse::Rejected {
+            reason: match EngineError::from(&e) {
+                EngineError::Rejected { reason } => reason.to_string(),
+                other => other.to_string(),
+            },
+        },
+    };
+    match request {
+        EngineRequest::Apply { delta } => applied(shard.apply(delta)),
+        EngineRequest::ApplyBatch { deltas } => applied(shard.apply_batch(deltas)),
+        EngineRequest::Rebalance => EngineResponse::Rebalanced {
+            report: ReconcileReport::default(),
+            utility: shard.utility(),
+        },
+        EngineRequest::Query { query } => match *query {
+            EngineQuery::Utility => {
+                let breakdown = shard.utility_breakdown();
+                EngineResponse::Utility {
+                    total: breakdown.total,
+                    interest_sum: breakdown.interest_sum,
+                    interaction_sum: breakdown.interaction_sum,
+                }
+            }
+            EngineQuery::AssignmentsOf { user } => EngineResponse::Assignments {
+                user,
+                events: if user.index() < shard.instance().num_users() {
+                    shard.arrangement().events_of(user).to_vec()
+                } else {
+                    Vec::new()
+                },
+            },
+            EngineQuery::EventLoad { event } => {
+                let (load, capacity) = if event.index() < shard.instance().num_events() {
+                    (
+                        shard.arrangement().load_of(event),
+                        shard.instance().event(event).capacity,
+                    )
+                } else {
+                    (0, 0)
+                };
+                EngineResponse::EventLoad {
+                    event,
+                    load,
+                    capacity,
+                }
+            }
+            EngineQuery::Stats => EngineResponse::Stats {
+                stats: *shard.stats(),
+            },
+            EngineQuery::ShardStats => EngineResponse::ShardStats {
+                shards: vec![ShardStatsEntry {
+                    shard: 0,
+                    users: shard.instance().num_users(),
+                    pairs: shard.arrangement().len(),
+                    utility: shard.utility(),
+                    stats: *shard.stats(),
+                    moved_in: 0,
+                    moved_out: 0,
+                }],
+            },
+            EngineQuery::MergedSnapshot => EngineResponse::Snapshot {
+                num_events: shard.instance().num_events(),
+                num_users: shard.instance().num_users(),
+                utility: shard.utility(),
+                pairs: shard.arrangement().pairs().collect(),
+            },
+            other => panic!("query {other:?} is not part of the one-shard pin"),
+        },
+        other => panic!("request {other:?} is not part of the one-shard pin"),
+    }
+}
+
+/// Full-state comparison of a one-shard engine against its bare-shard
+/// reference: stats, utility bits and the served pair set.
+fn assert_one_shard_matches(shard: &Shard, sharded: &ShardedEngine) {
+    assert_eq!(
+        format!("{:?}", shard.stats()),
+        format!("{:?}", sharded.stats())
+    );
+    let bare = shard.utility_breakdown();
+    let merged = sharded.merged_utility();
+    assert_eq!(bare.total.to_bits(), merged.total.to_bits());
+    assert_eq!(bare.interest_sum.to_bits(), merged.interest_sum.to_bits());
+    assert_eq!(
+        bare.interaction_sum.to_bits(),
+        merged.interaction_sum.to_bits()
+    );
+    assert_eq!(shard.utility().to_bits(), sharded.utility().to_bits());
+    assert_eq!(
+        shard.arrangement().pairs().collect::<Vec<_>>(),
+        sharded.merged_arrangement().pairs().collect::<Vec<_>>()
+    );
 }
 
 /// Quota invariant: per event, shard quotas sum to the mirror capacity.
@@ -228,6 +338,8 @@ proptest! {
         assert_quota_invariant(&engine);
     }
 
+    /// The monolithic reference is a bare [`Shard`] over the full
+    /// instance: one shard must answer every request exactly as it does.
     #[test]
     fn one_shard_reproduces_monolithic_responses_bit_for_bit(
         num_events in 1usize..4,
@@ -237,15 +349,15 @@ proptest! {
         seed in 0u64..50,
     ) {
         let instance = seeded_instance(num_events, num_users, true);
-        let mut mono = monolithic_over(instance.clone(), seed);
+        let mut bare = bare_shard_over(instance.clone(), seed);
         let mut sharded = sharded_over(instance, seed, 1, 4);
 
         // Interleave applies, batches, every query kind and rebalances,
-        // resolving raw deltas against the monolithic engine's state.
+        // resolving raw deltas against the bare shard's state.
         let mut pending_batch: Vec<InstanceDelta> = Vec::new();
         let mut requests: Vec<EngineRequest> = Vec::new();
         for (i, raw) in raws.iter().enumerate() {
-            let delta = resolve(raw, mono.instance());
+            let delta = resolve(raw, bare.instance());
             if i % batch_every == 0 {
                 pending_batch.push(delta);
                 if pending_batch.len() == 2 {
@@ -257,11 +369,11 @@ proptest! {
                 requests.push(EngineRequest::Apply { delta });
             }
             if i % 5 == 4 {
-                // An always-invalid delta: both backends must reject it
+                // An always-invalid delta: both engines must reject it
                 // identically AND report it identically in later stats.
                 requests.push(EngineRequest::Apply {
                     delta: InstanceDelta::UpdateInteractionScore {
-                        user: UserId::new(mono.instance().num_users() + 7),
+                        user: UserId::new(bare.instance().num_users() + 7),
                         score: 0.5,
                     },
                 });
@@ -282,20 +394,20 @@ proptest! {
             // Process the interleaved stream immediately so the next raw
             // delta resolves against the evolved population.
             for request in requests.drain(..) {
-                let mono_response = mono.handle(&request);
+                let bare_response = bare_shard_response(&mut bare, &request);
                 let sharded_response = sharded.handle(&request);
                 // Bit-for-bit: the serialized lines must be identical
                 // (covers every f64 exactly as it will hit a replay log).
                 prop_assert_eq!(
-                    encode_response(&mono_response),
+                    encode_response(&bare_response),
                     encode_response(&sharded_response),
                     "diverged on request {:?}",
                     request
                 );
+                assert_one_shard_matches(&bare, &sharded);
             }
         }
-        prop_assert_eq!(mono.utility().to_bits(), sharded.utility().to_bits());
-        prop_assert_eq!(mono.arrangement().len(), sharded.num_pairs());
+        prop_assert_eq!(bare.arrangement().len(), sharded.num_pairs());
     }
 
     /// The tentpole memory invariant under the workload it exists for:
@@ -310,7 +422,7 @@ proptest! {
         raws in proptest::collection::vec(churn_heavy_strategy(), 1..40),
         seed in 0u64..50,
     ) {
-        use std::sync::Arc;
+
         let instance = seeded_instance(3, 5, true);
         let mut engine = sharded_over(instance, seed, shards, 4);
         for raw in &raws {
@@ -337,7 +449,7 @@ proptest! {
     }
 
     /// Heavy event churn through the catalogue publish path must not
-    /// perturb the one-shard ≡ monolithic equivalence: applies and
+    /// perturb the one-shard ≡ bare-shard equivalence: applies and
     /// batches answer bit-for-bit identically.
     #[test]
     fn one_shard_stays_bit_for_bit_under_heavy_event_churn(
@@ -346,11 +458,11 @@ proptest! {
         seed in 0u64..50,
     ) {
         let instance = seeded_instance(2, 3, true);
-        let mut mono = monolithic_over(instance.clone(), seed);
+        let mut bare = bare_shard_over(instance.clone(), seed);
         let mut sharded = sharded_over(instance, seed, 1, 4);
         let mut pending: Vec<InstanceDelta> = Vec::new();
         for (i, raw) in raws.iter().enumerate() {
-            let delta = resolve(raw, mono.instance());
+            let delta = resolve(raw, bare.instance());
             let request = if i % batch_every == 0 {
                 pending.push(delta);
                 if pending.len() < 2 {
@@ -360,21 +472,22 @@ proptest! {
             } else {
                 EngineRequest::Apply { delta }
             };
-            let mono_response = mono.handle(&request);
+            let bare_response = bare_shard_response(&mut bare, &request);
             let sharded_response = sharded.handle(&request);
             prop_assert_eq!(
-                encode_response(&mono_response),
+                encode_response(&bare_response),
                 encode_response(&sharded_response),
                 "diverged on request {:?}",
                 request
             );
+            assert_one_shard_matches(&bare, &sharded);
         }
-        prop_assert_eq!(mono.utility().to_bits(), sharded.utility().to_bits());
-        prop_assert_eq!(mono.arrangement().len(), sharded.num_pairs());
+        prop_assert_eq!(bare.arrangement().len(), sharded.num_pairs());
     }
 
     /// The tracker pin of the O(1)-utility redesign: after *any* valid
-    /// delta sequence, on both backends, the incrementally maintained
+    /// delta sequence, on a bare shard and on every shard of a sharded
+    /// engine, the incrementally maintained
     /// utility breakdown (what `Utility` queries and apply outcomes now
     /// read in O(1)) equals a from-scratch exact recompute over the
     /// served arrangement — bit for bit, component by component. The
@@ -389,16 +502,16 @@ proptest! {
         seed in 0u64..50,
     ) {
         let instance = seeded_instance(num_events, num_users, true);
-        let mut mono = monolithic_over(instance.clone(), seed);
+        let mut bare = bare_shard_over(instance.clone(), seed);
         let mut sharded = sharded_over(instance, seed, shards, 4);
         for raw in &raws {
-            let delta = resolve(raw, mono.instance());
-            mono.apply(&delta).unwrap();
+            let delta = resolve(raw, bare.instance());
+            bare.apply(&delta).unwrap();
             sharded.apply(&delta).unwrap();
 
-            // Monolithic backend.
-            let tracked = mono.utility_breakdown();
-            let fresh = mono.arrangement().utility(mono.instance());
+            // A bare shard over the full instance.
+            let tracked = bare.utility_breakdown();
+            let fresh = bare.arrangement().utility(bare.instance());
             prop_assert_eq!(tracked.total.to_bits(), fresh.total.to_bits());
             prop_assert_eq!(tracked.interest_sum.to_bits(), fresh.interest_sum.to_bits());
             prop_assert_eq!(

@@ -26,6 +26,7 @@
 
 pub mod ablation;
 pub mod bundle;
+pub mod cli;
 pub mod figure1;
 pub mod online;
 pub mod ratio;
@@ -41,6 +42,7 @@ pub use ablation::{
     run_extension_ablation, run_interaction_ablation,
 };
 pub use bundle::ResultsBundle;
+pub use cli::{parse_cli_options, CliOptions, UsageError};
 pub use figure1::{run_all_figure1, run_figure1, Figure1Factor};
 pub use online::run_online_study;
 pub use ratio::{run_ratio_study, RatioReport, RatioResult};

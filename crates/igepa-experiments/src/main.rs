@@ -32,15 +32,14 @@
 use igepa_algos::LpBackend;
 use igepa_engine::FaultPlan;
 use igepa_experiments::{
-    check_sweep, check_table_ordering, check_users_sweep_convergence, parse_fsync_policy,
-    run_all_figure1, run_alpha_ablation, run_backend_ablation, run_beta_ablation,
-    run_clustered_table, run_connect_study, run_extension_ablation, run_figure1, run_grow_study,
-    run_interaction_ablation, run_listen, run_loopback_study, run_online_study, run_overload_study,
-    run_ratio_study, run_recover_study, run_reshard_command, run_scalability, run_serve_study,
-    run_sharded_serve_study, run_table1, run_table2, ExperimentSettings, Figure1Factor,
-    ShapeReport, SweepReport, TableReport,
+    check_sweep, check_table_ordering, check_users_sweep_convergence, parse_cli_options,
+    parse_fsync_policy, run_all_figure1, run_alpha_ablation, run_backend_ablation,
+    run_beta_ablation, run_clustered_table, run_connect_study, run_extension_ablation, run_figure1,
+    run_grow_study, run_interaction_ablation, run_listen, run_loopback_study, run_online_study,
+    run_overload_study, run_ratio_study, run_recover_study, run_reshard_command, run_scalability,
+    run_serve_study, run_sharded_serve_study, run_table1, run_table2, CliOptions,
+    ExperimentSettings, Figure1Factor, ShapeReport, SweepReport, TableReport,
 };
-use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,7 +48,11 @@ fn main() {
         return;
     }
     let command = args[0].clone();
-    let options = parse_options(&args[1..]);
+    let options = parse_cli_options(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        print_usage();
+        std::process::exit(2);
+    });
 
     let mut settings = ExperimentSettings::default();
     settings.repetitions = options.reps.unwrap_or(settings.repetitions);
@@ -304,130 +307,17 @@ fn main() {
     }
 }
 
-#[derive(Default)]
-struct Options {
-    reps: Option<usize>,
-    paper_reps: bool,
-    scale: Option<f64>,
-    seed: Option<u64>,
-    extensions: bool,
-    exact_lp: bool,
-    factor: Option<String>,
-    csv_dir: Option<PathBuf>,
-    deltas: Option<usize>,
-    shards: Option<usize>,
-    repair_threads: Option<usize>,
-    listen: Option<String>,
-    connect: Option<String>,
-    churn: bool,
-    wal: Option<String>,
-    fsync: Option<String>,
-    admission_cap: Option<usize>,
-    fault_plan: Option<String>,
-    grow_to: Option<usize>,
-    grow_at: Option<usize>,
-    /// First bare (non-`--`) argument after the command, e.g. the
-    /// durability directory of `recover <dir>`.
-    positional: Option<String>,
-}
-
-fn parse_options(args: &[String]) -> Options {
-    let mut options = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reps" => {
-                options.reps = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--paper-reps" => options.paper_reps = true,
-            "--scale" => {
-                options.scale = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--seed" => {
-                options.seed = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--extensions" => options.extensions = true,
-            "--exact-lp" => options.exact_lp = true,
-            "--factor" => {
-                options.factor = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--csv-dir" => {
-                options.csv_dir = args.get(i + 1).map(PathBuf::from);
-                i += 1;
-            }
-            "--deltas" => {
-                options.deltas = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--shards" => {
-                options.shards = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--repair-threads" => {
-                options.repair_threads = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--listen" => {
-                options.listen = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--churn" => options.churn = true,
-            "--connect" => {
-                options.connect = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--wal" => {
-                options.wal = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--fsync" => {
-                options.fsync = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--admission-cap" => {
-                options.admission_cap = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--fault-plan" => {
-                options.fault_plan = args.get(i + 1).cloned();
-                i += 1;
-            }
-            "--grow-to" => {
-                options.grow_to = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            "--grow-at" => {
-                options.grow_at = args.get(i + 1).and_then(|v| v.parse().ok());
-                i += 1;
-            }
-            other => {
-                if !other.starts_with("--") && options.positional.is_none() {
-                    options.positional = Some(other.to_string());
-                } else {
-                    eprintln!("ignoring unknown option: {other}");
-                }
-            }
-        }
-        i += 1;
-    }
-    options
-}
-
-fn emit_table(report: TableReport, options: &Options) {
+fn emit_table(report: TableReport, options: &CliOptions) {
     println!("{}", report.to_markdown());
     write_csv(&report.id, &report.to_csv(), options);
 }
 
-fn emit_sweep(report: SweepReport, options: &Options) {
+fn emit_sweep(report: SweepReport, options: &CliOptions) {
     println!("{}", report.to_markdown());
     write_csv(&report.id, &report.to_csv(), options);
 }
 
-fn write_csv(id: &str, csv: &str, options: &Options) {
+fn write_csv(id: &str, csv: &str, options: &CliOptions) {
     if let Some(dir) = &options.csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
@@ -457,7 +347,8 @@ fn print_usage() {
            --exact-lp       force the exact simplex LP backend\n\
            --csv-dir <dir>  also write CSV files into <dir>\n\
            --deltas <n>     trace length for `serve` (default 10000)\n\
-           --shards <n>     shard count for `serve` (default 1 = monolithic)\n\
+           --shards <n>     shard count for `serve` (default 1: a one-shard\n\
+                            ShardedEngine over the whole instance)\n\
            --repair-threads <n>  intra-shard repair threads for `serve`\n\
                             (default 1; any count yields bit-identical state)\n\
            --churn          announcement-heavy trace for `serve` (event churn)\n\

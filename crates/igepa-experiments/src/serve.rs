@@ -20,10 +20,10 @@ use igepa_datagen::{
     ClusteredConfig, CommunityTraceConfig, SyntheticConfig, TraceConfig,
 };
 use igepa_engine::{
-    recover, replay, AdmissionPolicy, ClientError, DurabilityController, DurabilityPolicy, Engine,
+    recover, replay, AdmissionPolicy, ClientError, DurabilityController, DurabilityPolicy,
     EngineClient, EngineConfig, EngineError, EngineQuery, EngineRequest, EngineResponse,
     EngineServer, FaultInjector, FaultPlan, Framing, LatencySummary, MigrationRecord, Recovered,
-    RecoveryError, ShardedConfig, ShardedEngine,
+    RecoveryError, ServerOptions, ShardedConfig, ShardedEngine,
 };
 use serde::{Deserialize, Serialize};
 use std::net::TcpListener;
@@ -94,10 +94,10 @@ impl ServeReport {
     }
 }
 
-/// Builds the serving engine used by the study (and by the benches, so the
-/// two measure the same configuration).
-pub fn serving_engine(instance: Instance, seed: u64) -> Engine {
-    Engine::new(
+/// Builds the one-shard serving engine used by the study (and by the
+/// benches, so the two measure the same configuration).
+pub fn serving_engine(instance: Instance, seed: u64) -> ShardedEngine {
+    ShardedEngine::single(
         instance,
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),
@@ -139,7 +139,7 @@ pub fn run_serve_study(settings: &ExperimentSettings, num_deltas: usize) -> Serv
         outcome.report.rejected, 0,
         "generated trace must replay cleanly"
     );
-    assert!(engine.arrangement().is_feasible(engine.instance()));
+    assert!(engine.merged_arrangement().is_feasible(engine.instance()));
     let utility_ratio = engine.cold_solve_ratio();
 
     // Cold baseline: apply the same deltas to a bare instance and re-solve
@@ -159,7 +159,7 @@ pub fn run_serve_study(settings: &ExperimentSettings, num_deltas: usize) -> Serv
     let cold_latency = LatencySummary::from_latencies(cold_latencies);
 
     let warm_latency = outcome.report.latency;
-    let stats = *engine.stats();
+    let stats = engine.stats();
     ServeReport {
         num_deltas,
         base_users: base.num_users(),
@@ -181,7 +181,7 @@ pub fn run_serve_study(settings: &ExperimentSettings, num_deltas: usize) -> Serv
 }
 
 /// Result of the sharded serving study: the same multi-community trace
-/// replayed through a monolithic engine and through N shards.
+/// replayed through a one-shard (monolithic) engine and through N shards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedServeReport {
     /// Shards of the partitioned engine.
@@ -326,7 +326,7 @@ pub fn sharded_serving_engine_with_admission(
 }
 
 /// Runs the sharded serving study: replays one multi-community trace
-/// through a monolithic engine and an N-shard engine and compares
+/// through a one-shard (monolithic) engine and an N-shard engine and compares
 /// latency, utility and the merged arrangement's feasibility.
 pub fn run_sharded_serve_study(
     settings: &ExperimentSettings,
@@ -557,10 +557,10 @@ pub fn run_loopback_study(
 ) -> LoopbackReport {
     let requests = tcp_trace(settings, num_deltas, shards, churn);
     let listener = TcpListener::bind(listen_addr).expect("listen address binds");
-    let handle = EngineServer::serve_sharded(
+    let handle = EngineServer::serve(
         listener,
         tcp_server_engine(settings, shards, repair_threads),
-        Framing::Lines,
+        ServerOptions::from(Framing::Lines),
     )
     .expect("server spawns");
     eprintln!("loopback server listening on {}", handle.local_addr());
@@ -738,10 +738,10 @@ pub fn run_grow_study(
     let requests = tcp_trace(settings, num_deltas, shards, churn);
     let grow_at = grow_at.min(requests.len().saturating_sub(1));
     let listener = TcpListener::bind(listen_addr).expect("listen address binds");
-    let handle = EngineServer::serve_sharded(
+    let handle = EngineServer::serve(
         listener,
         tcp_server_engine(settings, shards, repair_threads),
-        Framing::Lines,
+        ServerOptions::from(Framing::Lines),
     )
     .expect("server spawns");
     eprintln!("elastic smoke server listening on {}", handle.local_addr());
@@ -928,12 +928,14 @@ pub fn run_overload_study(
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener binds");
     let faults = Arc::new(FaultInjector::new(fault_plan));
-    let handle = EngineServer::serve_sharded_faulted(
+    let handle = EngineServer::serve(
         listener,
         engine,
-        Framing::Lines,
-        None,
-        Arc::clone(&faults),
+        ServerOptions {
+            framing: Framing::Lines,
+            durability: None,
+            faults: Some(Arc::clone(&faults)),
+        },
     )
     .expect("server spawns");
     let addr = handle.local_addr();
@@ -1190,12 +1192,8 @@ pub fn run_listen(
             None => String::new(),
         }
     );
-    let _handle = match wal {
-        None => EngineServer::serve_sharded(
-            listener,
-            tcp_server_engine(settings, shards, repair_threads),
-            Framing::Lines,
-        ),
+    let (engine, durability) = match wal {
+        None => (tcp_server_engine(settings, shards, repair_threads), None),
         Some((dir, policy)) => {
             std::fs::create_dir_all(dir).expect("durability directory creatable");
             let recovered = recover_served_engine(settings, dir, shards)
@@ -1215,15 +1213,15 @@ pub fn run_listen(
                 recovered.last_checkpoint_seq,
             )
             .expect("durability controller opens");
-            EngineServer::serve_sharded_durable(
-                listener,
-                recovered.engine,
-                Framing::Lines,
-                controller,
-            )
+            (recovered.engine, Some(controller))
         }
-    }
-    .expect("server spawns");
+    };
+    let options = ServerOptions {
+        framing: Framing::Lines,
+        durability,
+        faults: None,
+    };
+    let _handle = EngineServer::serve(listener, engine, options).expect("server spawns");
     loop {
         std::thread::park();
     }
@@ -1371,11 +1369,14 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port binds");
         let controller =
             DurabilityController::create(&dir, DurabilityPolicy::Off).expect("controller opens");
-        let handle = EngineServer::serve_sharded_durable(
+        let handle = EngineServer::serve(
             listener,
             tcp_server_engine(&settings, shards, 1),
-            Framing::Lines,
-            controller,
+            ServerOptions {
+                framing: Framing::Lines,
+                durability: Some(controller),
+                faults: None,
+            },
         )
         .expect("server spawns");
         let mut client =

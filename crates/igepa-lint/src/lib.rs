@@ -24,14 +24,14 @@
 //! # Suppressions
 //!
 //! A finding that reflects a *deliberate* waiver — a documented
-//! fail-fast invariant, a sum that must reproduce the serial backend's
-//! plain rounding — is suppressed inline, with a mandatory
+//! fail-fast invariant, a float fold whose order is fixed so replay
+//! reproduces it bit for bit — is suppressed inline, with a mandatory
 //! justification:
 //!
 //! ```text
-//! // lint:allow(no-raw-float-accum): reproduces the serial backend's
-//! //   shard-order summation bit for bit (pinned by the replay test)
-//! total += view.breakdown.total;
+//! // lint:allow(no-raw-float-accum): shard-order-fixed fold of per-shard
+//! //   exact totals; replay and recovery reproduce this sum bit for bit
+//! self.shard_utility.iter().sum()
 //! ```
 //!
 //! The marker covers its own line and the next; multiple rules are

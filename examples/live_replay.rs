@@ -14,7 +14,7 @@
 use igepa::algos::GreedyArrangement;
 use igepa::core::{ConstantInterest, NeverConflict};
 use igepa::datagen::{generate_synthetic, generate_trace, SyntheticConfig, TraceConfig};
-use igepa::engine::{replay_jsonl, requests_to_jsonl, Engine, EngineConfig, EngineRequest};
+use igepa::engine::{replay_jsonl, requests_to_jsonl, EngineConfig, EngineRequest, ShardedEngine};
 
 fn main() {
     let num_deltas: usize = std::env::args()
@@ -57,8 +57,9 @@ fn main() {
     let jsonl = requests_to_jsonl(&requests);
     println!("request log: {} bytes of JSONL", jsonl.len());
 
-    // 4. Replay through the warm-start serving engine.
-    let mut engine = Engine::new(
+    // 4. Replay through the warm-start serving engine (one shard over the
+    //    whole instance).
+    let mut engine = ShardedEngine::single(
         base,
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),
@@ -71,7 +72,7 @@ fn main() {
         },
     );
     let outcome = replay_jsonl(&mut engine, &jsonl).expect("self-generated log parses");
-    assert!(engine.arrangement().is_feasible(engine.instance()));
+    assert!(engine.merged_arrangement().is_feasible(engine.instance()));
 
     let report = &outcome.report;
     println!(
@@ -103,7 +104,7 @@ fn main() {
     println!(
         "utility vs cold solve of the final instance: {:.1}% (drift bound: {:.0}%)",
         ratio * 100.0,
-        engine.config().max_staleness * 100.0
+        engine.config().shard.max_staleness * 100.0
     );
     assert!(
         ratio >= 0.95,

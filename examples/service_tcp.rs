@@ -4,7 +4,7 @@
 //! The flow mirrors a deployed arrangement service:
 //!
 //! 1. build a community-structured base instance and start
-//!    `EngineServer::serve_sharded` on an ephemeral port — the
+//!    `EngineServer::serve` on an ephemeral port — the
 //!    coordinator validates and routes on one thread while each shard
 //!    repairs on its own worker;
 //! 2. connect several `EngineClient`s concurrently, each registering a
@@ -21,6 +21,7 @@ use igepa::core::{AttributeVector, EventId, InstanceDelta, UserId};
 use igepa::datagen::{generate_clustered_dataset, ClusteredConfig};
 use igepa::engine::{
     ClientError, EngineClient, EngineError, EngineQuery, EngineResponse, EngineServer, Framing,
+    ServerOptions,
 };
 use igepa::experiments::sharded_serving_engine;
 use std::net::TcpListener;
@@ -52,8 +53,8 @@ fn main() {
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
     let engine = sharded_serving_engine(base, 5, num_shards, 1);
-    let handle =
-        EngineServer::serve_sharded(listener, engine, Framing::Lines).expect("server spawns");
+    let handle = EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines))
+        .expect("server spawns");
     let addr = handle.local_addr();
     println!("listening on {addr}");
 

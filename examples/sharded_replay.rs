@@ -18,7 +18,7 @@ use igepa::core::{ConstantInterest, LocalityPartitioner, NeverConflict, Partitio
 use igepa::datagen::{
     generate_clustered_dataset, generate_community_trace, ClusteredConfig, CommunityTraceConfig,
 };
-use igepa::engine::{replay, Engine, EngineConfig, EngineRequest, ShardedConfig, ShardedEngine};
+use igepa::engine::{replay, EngineConfig, EngineRequest, ShardedConfig, ShardedEngine};
 use igepa::prelude::GreedyArrangement;
 
 fn main() {
@@ -69,8 +69,8 @@ fn main() {
         ..EngineConfig::default()
     };
 
-    // 3. Monolithic baseline.
-    let mut mono = Engine::new(
+    // 3. Monolithic baseline: one shard over the whole instance.
+    let mut mono = ShardedEngine::single(
         base.clone(),
         Box::new(NeverConflict),
         Box::new(ConstantInterest(0.5)),

@@ -59,7 +59,7 @@ pub mod prelude {
         DeltaTrace, MeetupConfig, SyntheticConfig, TraceConfig,
     };
     pub use igepa_engine::{
-        Engine, EngineConfig, EngineRequest, EngineResponse, ShardedConfig, ShardedEngine,
+        EngineConfig, EngineRequest, EngineResponse, ShardedConfig, ShardedEngine,
     };
     pub use igepa_graph::{InteractionMeasure, SocialNetwork};
 }

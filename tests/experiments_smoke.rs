@@ -2,7 +2,8 @@
 //! runs end to end on scaled-down settings and produces well-formed reports.
 
 use igepa::experiments::{
-    run_figure1, run_ratio_study, run_table1, run_table2, ExperimentSettings, Figure1Factor,
+    parse_cli_options, run_figure1, run_ratio_study, run_table1, run_table2, ExperimentSettings,
+    Figure1Factor,
 };
 
 fn smoke_settings() -> ExperimentSettings {
@@ -79,4 +80,39 @@ fn ratio_study_smoke_respects_theorem_two() {
         assert!(result.mean_ratio >= 0.25);
         assert!(result.mean_ratio <= 1.0 + 1e-9);
     }
+}
+
+fn args(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn bad_numeric_flag_values_are_usage_errors() {
+    // A present-but-unparsable value must be refused (the binary prints
+    // the usage and exits 2), not replaced by the flag's default.
+    for (flag, value) in [
+        ("--shards", "two"),
+        ("--scale", "1,5"),
+        ("--seed", "-3"),
+        ("--deltas", "1e3"),
+        ("--reps", ""),
+        ("--grow-at", "half"),
+    ] {
+        let err = parse_cli_options(&args(&["--listen", "127.0.0.1:0", flag, value]))
+            .expect_err("an unparsable number must be a usage error");
+        assert_eq!(err.flag, flag);
+        assert_eq!(err.value, value);
+        assert!(err.to_string().contains(flag));
+    }
+
+    // Well-formed values still parse, and an absent value keeps the
+    // default.
+    let options = parse_cli_options(&args(&[
+        "--shards", "2", "--seed", "7", "--scale", "0.5", "--deltas",
+    ]))
+    .unwrap();
+    assert_eq!(options.shards, Some(2));
+    assert_eq!(options.seed, Some(7));
+    assert_eq!(options.scale, Some(0.5));
+    assert_eq!(options.deltas, None);
 }
