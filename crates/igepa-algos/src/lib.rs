@@ -57,10 +57,7 @@ pub use online_greedy::OnlineGreedy;
 pub use online_ranking::OnlineRanking;
 pub use portfolio::Portfolio;
 pub use randomized::{RandomU, RandomV};
-pub use repair::{
-    admit_greedily_in, can_assign_in, patch_region, AssignmentState, ComponentSlots,
-    ComponentState, PatchOps,
-};
+pub use repair::{patch_region, PatchOps};
 pub use runner::{run_and_record, run_repeated, ArrangementAlgorithm, RunRecord};
 pub use simulated_annealing::SimulatedAnnealing;
 pub use tabu_search::TabuSearch;

@@ -115,7 +115,7 @@ impl LpPacking {
     /// previous arrangement seeds the row prices (see
     /// [`LpPacking::event_prices_from`]) — the dual warm start. The exact
     /// simplex backend crashes a primal basis from it instead
-    /// ([`SimplexBasis`]): every admissible set a user held verbatim in
+    /// ([`SimplexBasis`](igepa_lp::SimplexBasis)): every admissible set a user held verbatim in
     /// the previous arrangement starts at its upper bound, so the
     /// re-solve pays only the pivots the instance change requires while
     /// returning exactly the cold optimum.

@@ -1,400 +1,27 @@
-//! Region-scoped greedy repair: the serving engine's patch kernel,
-//! generalised over the state it mutates.
+//! Region-scoped greedy repair: the serving engine's patch kernel.
 //!
-//! The engine's repair pass (prune dirty users → evict overflow at dirty
-//! events → greedily re-admit the heaviest feasible candidates) used to
-//! be welded to the full [`Arrangement`]. [`patch_region`] is the same
-//! pass expressed against the [`AssignmentState`] trait, so it can run
+//! [`patch_region`] is the paper's greedy arrangement (GG) restricted to
+//! a dirty region: prune the dirty users, evict overflow at the dirty
+//! events, then greedily re-admit the heaviest feasible candidate pairs
+//! around the region. The engine's shards run it on their served
+//! [`Arrangement`] and use the recorded [`PatchOps`] to update their
+//! utility trackers and view diffs.
 //!
-//! * directly on the shard's arrangement (the serial path — identical
-//!   behaviour, op-for-op), or
-//! * on a [`ComponentState`] sandbox holding only the slice of state an
-//!   independent dirty component can touch, enabling components to be
-//!   repaired **concurrently** and their recorded [`PatchOps`] replayed
-//!   onto the real arrangement afterwards.
-//!
-//! Determinism: for a fixed `(instance, state, dirty_users,
+//! Determinism: for a fixed `(instance, arrangement, dirty_users,
 //! dirty_events)` the pass is a pure function — candidate sets are
 //! ordered (`BTreeSet`), ties break on ids, and the recorded op lists
-//! come back in execution order. Because a component's candidates are a
-//! weight-ordered subsequence of the global candidate ordering and
-//! cross-component candidates never share feasibility state, repairing
-//! components separately reproduces the global pass exactly.
+//! come back in execution order.
 
+use crate::warm_start::admit_greedily_with;
 use igepa_core::{Arrangement, EventId, Instance, UserId};
 use std::collections::BTreeSet;
-
-/// The mutable assignment state the repair pass runs against — either
-/// the full [`Arrangement`] or a component-local [`ComponentState`].
-///
-/// Semantics mirror the [`Arrangement`] methods of the same names; rows
-/// are sorted ascending and loads agree with memberships for every
-/// event the pass touches.
-pub trait AssignmentState {
-    /// Events currently assigned to `user`, sorted.
-    fn events_of(&self, user: UserId) -> &[EventId];
-    /// Users currently assigned to `event`, sorted. Only called for
-    /// events passed as dirty to [`patch_region`].
-    fn users_of(&self, event: EventId) -> &[UserId];
-    /// Current load of `event`.
-    fn load_of(&self, event: EventId) -> usize;
-    /// Whether `(event, user)` is assigned.
-    fn contains(&self, event: EventId, user: UserId) -> bool;
-    /// Adds `(event, user)`; returns whether it was newly inserted.
-    fn assign(&mut self, event: EventId, user: UserId) -> bool;
-    /// Removes `(event, user)`; returns whether it was present.
-    fn unassign(&mut self, event: EventId, user: UserId) -> bool;
-    /// Removes every assignment of `user`, returning the events they
-    /// were removed from.
-    fn remove_user_assignments(&mut self, user: UserId) -> Vec<EventId>;
-}
-
-impl AssignmentState for Arrangement {
-    fn events_of(&self, user: UserId) -> &[EventId] {
-        Arrangement::events_of(self, user)
-    }
-    fn users_of(&self, event: EventId) -> &[UserId] {
-        Arrangement::users_of(self, event)
-    }
-    fn load_of(&self, event: EventId) -> usize {
-        Arrangement::load_of(self, event)
-    }
-    fn contains(&self, event: EventId, user: UserId) -> bool {
-        Arrangement::contains(self, event, user)
-    }
-    fn assign(&mut self, event: EventId, user: UserId) -> bool {
-        Arrangement::assign(self, event, user)
-    }
-    fn unassign(&mut self, event: EventId, user: UserId) -> bool {
-        Arrangement::unassign(self, event, user)
-    }
-    fn remove_user_assignments(&mut self, user: UserId) -> Vec<EventId> {
-        Arrangement::remove_user_assignments(self, user)
-    }
-}
-
-/// Epoch-stamped dense slot tables shared by every [`ComponentState`]
-/// of one repair pass: global user/event ids map to sequential slots in
-/// the order components registered them, so sandbox state lives in
-/// plain vectors and every lookup on the repair hot path is O(1) — no
-/// tree or hash walk per candidate check.
-///
-/// One table serves all components because components are disjoint: a
-/// global id is registered by at most one component per epoch, and each
-/// sandbox range-checks the slot against its own contiguous block.
-/// [`ComponentSlots::begin`] resets the mapping in O(1) by bumping the
-/// epoch, so a repair pays O(touched) writes per round and O(universe)
-/// memory once, amortised across the shard's lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct ComponentSlots {
-    epoch: u32,
-    next_user: u32,
-    next_event: u32,
-    /// `epoch << 32 | slot` per user index; stale epochs mean "not in
-    /// any component this round".
-    user_slot: Vec<u64>,
-    event_slot: Vec<u64>,
-}
-
-impl ComponentSlots {
-    /// Starts a fresh round over `num_events` events and `num_users`
-    /// users. O(1) unless the tables need to grow (or the 32-bit epoch
-    /// wraps, forcing one O(universe) clear every 2^32 rounds).
-    pub fn begin(&mut self, num_events: usize, num_users: usize) {
-        if self.epoch == u32::MAX {
-            self.user_slot.clear();
-            self.event_slot.clear();
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.next_user = 0;
-        self.next_event = 0;
-        if self.user_slot.len() < num_users {
-            self.user_slot.resize(num_users, 0);
-        }
-        if self.event_slot.len() < num_events {
-            self.event_slot.resize(num_events, 0);
-        }
-    }
-
-    /// Registers `u` under the next sequential user slot. Components
-    /// must register their members contiguously (all of one component,
-    /// then all of the next) for the sandboxes' range checks to hold.
-    pub fn push_user(&mut self, u: UserId) -> u32 {
-        let slot = self.next_user;
-        self.next_user += 1;
-        self.user_slot[u.index()] = (u64::from(self.epoch) << 32) | u64::from(slot);
-        slot
-    }
-
-    /// Registers `v` under the next sequential event slot.
-    pub fn push_event(&mut self, v: EventId) -> u32 {
-        let slot = self.next_event;
-        self.next_event += 1;
-        self.event_slot[v.index()] = (u64::from(self.epoch) << 32) | u64::from(slot);
-        slot
-    }
-
-    fn user(&self, u: UserId) -> Option<u32> {
-        let entry = *self.user_slot.get(u.index())?;
-        ((entry >> 32) as u32 == self.epoch).then_some(entry as u32)
-    }
-
-    fn event(&self, v: EventId) -> Option<u32> {
-        let entry = *self.event_slot.get(v.index())?;
-        ((entry >> 32) as u32 == self.epoch).then_some(entry as u32)
-    }
-}
-
-/// Sparse sandbox over the slice of an arrangement one independent
-/// dirty component can read or write: complete assignment rows for the
-/// component's users, loads for the component's events, and complete
-/// attendee rows for the component's *dirty* events (the only events
-/// whose attendees the pass inspects).
-///
-/// Extraction is O(component): a handful of row copies, never a scan of
-/// the full arrangement — and it borrows the arrangement and the slot
-/// tables immutably, so components extract *inside* their parallel
-/// repair jobs rather than serially up front.
-#[derive(Debug, Clone)]
-pub struct ComponentState<'a> {
-    slots: &'a ComponentSlots,
-    /// First user/event slot of this component's contiguous block.
-    user_base: u32,
-    event_base: u32,
-    /// Assignment rows per component user, indexed by `slot - base`.
-    per_user: Vec<Vec<EventId>>,
-    load: Vec<usize>,
-    /// Attendee rows, `Some` only for the dirty events.
-    attendees: Vec<Option<Vec<UserId>>>,
-}
-
-impl<'a> ComponentState<'a> {
-    /// Copies the component's slice out of `arrangement`.
-    ///
-    /// `users` must cover every user the repair may touch (dirty users,
-    /// attendees and bidders of dirty events); `events` every event
-    /// whose load it may read or write; `attendee_events` the events
-    /// whose full attendee lists it inspects (the dirty events). Both
-    /// lists must have been registered in `slots` in this exact order,
-    /// as one contiguous block per list.
-    pub fn extract(
-        arrangement: &Arrangement,
-        slots: &'a ComponentSlots,
-        users: &[UserId],
-        events: &[EventId],
-        attendee_events: &[EventId],
-    ) -> Self {
-        let user_base = users
-            .first()
-            .map(|&u| slots.user(u).expect("component users must be registered"))
-            .unwrap_or(0);
-        let event_base = events
-            .first()
-            .map(|&v| slots.event(v).expect("component events must be registered"))
-            .unwrap_or(0);
-        let per_user: Vec<Vec<EventId>> = users
-            .iter()
-            .map(|&u| arrangement.events_of(u).to_vec())
-            .collect();
-        let load: Vec<usize> = events.iter().map(|&v| arrangement.load_of(v)).collect();
-        let mut attendees: Vec<Option<Vec<UserId>>> = vec![None; events.len()];
-        for &v in attendee_events {
-            let i =
-                (slots.event(v).expect("dirty events must be registered") - event_base) as usize;
-            attendees[i] = Some(arrangement.users_of(v).to_vec());
-        }
-        if cfg!(debug_assertions) {
-            for (i, &u) in users.iter().enumerate() {
-                debug_assert_eq!(slots.user(u), Some(user_base + i as u32));
-            }
-            for (i, &v) in events.iter().enumerate() {
-                debug_assert_eq!(slots.event(v), Some(event_base + i as u32));
-            }
-        }
-        ComponentState {
-            slots,
-            user_base,
-            event_base,
-            per_user,
-            load,
-            attendees,
-        }
-    }
-
-    /// Local row index of `u`, `None` when `u` is outside this
-    /// component (its slot falls outside the contiguous block).
-    fn user_index(&self, u: UserId) -> Option<usize> {
-        let i = self.slots.user(u)?.checked_sub(self.user_base)? as usize;
-        (i < self.per_user.len()).then_some(i)
-    }
-
-    fn event_index(&self, v: EventId) -> Option<usize> {
-        let i = self.slots.event(v)?.checked_sub(self.event_base)? as usize;
-        (i < self.load.len()).then_some(i)
-    }
-}
-
-fn sorted_insert<T: Ord>(row: &mut Vec<T>, value: T) -> bool {
-    match row.binary_search(&value) {
-        Ok(_) => false,
-        Err(pos) => {
-            row.insert(pos, value);
-            true
-        }
-    }
-}
-
-fn sorted_remove<T: Ord>(row: &mut Vec<T>, value: &T) -> bool {
-    match row.binary_search(value) {
-        Ok(pos) => {
-            row.remove(pos);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-impl AssignmentState for ComponentState<'_> {
-    fn events_of(&self, user: UserId) -> &[EventId] {
-        self.user_index(user)
-            .map(|i| self.per_user[i].as_slice())
-            .unwrap_or_default()
-    }
-
-    fn users_of(&self, event: EventId) -> &[UserId] {
-        self.event_index(event)
-            .and_then(|i| self.attendees[i].as_deref())
-            .unwrap_or_default()
-    }
-
-    fn load_of(&self, event: EventId) -> usize {
-        let i = self
-            .event_index(event)
-            .expect("component touched an event outside its extracted slice");
-        self.load[i]
-    }
-
-    fn contains(&self, event: EventId, user: UserId) -> bool {
-        self.user_index(user)
-            .is_some_and(|i| self.per_user[i].binary_search(&event).is_ok())
-    }
-
-    fn assign(&mut self, event: EventId, user: UserId) -> bool {
-        let u = self
-            .user_index(user)
-            .expect("component touched a user outside its extracted slice");
-        if !sorted_insert(&mut self.per_user[u], event) {
-            return false;
-        }
-        let i = self
-            .event_index(event)
-            .expect("component touched an event outside its extracted slice");
-        if let Some(list) = self.attendees[i].as_mut() {
-            sorted_insert(list, user);
-        }
-        self.load[i] += 1;
-        true
-    }
-
-    fn unassign(&mut self, event: EventId, user: UserId) -> bool {
-        let Some(u) = self.user_index(user) else {
-            return false;
-        };
-        if !sorted_remove(&mut self.per_user[u], &event) {
-            return false;
-        }
-        let i = self
-            .event_index(event)
-            .expect("component touched an event outside its extracted slice");
-        if let Some(list) = self.attendees[i].as_mut() {
-            sorted_remove(list, &user);
-        }
-        self.load[i] -= 1;
-        true
-    }
-
-    fn remove_user_assignments(&mut self, user: UserId) -> Vec<EventId> {
-        let Some(u) = self.user_index(user) else {
-            return Vec::new();
-        };
-        let events = std::mem::take(&mut self.per_user[u]);
-        for &v in &events {
-            let i = self
-                .event_index(v)
-                .expect("component touched an event outside its extracted slice");
-            if let Some(list) = self.attendees[i].as_mut() {
-                sorted_remove(list, &user);
-            }
-            self.load[i] -= 1;
-        }
-        events
-    }
-}
-
-/// Whether adding `(event, user)` keeps `state` feasible for `instance`
-/// — bid, both capacities, conflicts. The generic form of
-/// [`crate::warm_start::can_assign`].
-pub fn can_assign_in<S: AssignmentState + ?Sized>(
-    instance: &Instance,
-    state: &S,
-    event: EventId,
-    user: UserId,
-) -> bool {
-    if !instance.user(user).has_bid(event) {
-        return false;
-    }
-    if state.load_of(event) >= instance.event(event).capacity {
-        return false;
-    }
-    let current = state.events_of(user);
-    if current.len() >= instance.user(user).capacity {
-        return false;
-    }
-    if state.contains(event, user) {
-        return false;
-    }
-    !current
-        .iter()
-        .any(|&w| instance.conflicts().conflicts(w, event))
-}
-
-/// Sorts candidate pairs by decreasing weight (ties broken by ascending
-/// `(event, user)`) and admits each pair that keeps `state` feasible,
-/// invoking `on_admit` per admission. The generic form of
-/// [`crate::warm_start::admit_greedily_with`].
-pub fn admit_greedily_in<S: AssignmentState + ?Sized>(
-    instance: &Instance,
-    state: &mut S,
-    candidates: impl IntoIterator<Item = (EventId, UserId)>,
-    mut on_admit: impl FnMut(EventId, UserId),
-) -> usize {
-    let mut pairs: Vec<(f64, EventId, UserId)> = candidates
-        .into_iter()
-        .map(|(v, u)| (instance.weight(v, u), v, u))
-        .collect();
-    pairs.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-    });
-    let mut added = 0;
-    for (_, v, u) in pairs {
-        if can_assign_in(instance, state, v, u) {
-            state.assign(v, u);
-            on_admit(v, u);
-            added += 1;
-        }
-    }
-    added
-}
 
 /// The pair edits a repair pass performed, in execution order: all
 /// removals (prunes then evictions), then all admissions.
 ///
-/// Replaying `removed` then `added` onto any state that matched the
-/// repaired one pre-pass reproduces the post-pass state exactly; the
-/// same lists drive incremental utility-tracker updates (exact sums are
+/// Replaying `removed` then `added` onto a copy of the pre-pass
+/// arrangement reproduces the post-pass one exactly; the same lists
+/// drive incremental utility-tracker updates (exact sums are
 /// order-independent, so post-hoc replay is bit-identical to inline
 /// tracking).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -410,12 +37,6 @@ impl PatchOps {
     pub fn is_empty(&self) -> bool {
         self.removed.is_empty() && self.added.is_empty()
     }
-
-    /// Appends another pass's ops after this one's.
-    pub fn extend(&mut self, other: PatchOps) {
-        self.removed.extend(other.removed);
-        self.added.extend(other.added);
-    }
 }
 
 /// The engine's greedy repair pass over a dirty region: prune every
@@ -425,9 +46,9 @@ impl PatchOps {
 ///
 /// `dirty_users` and `dirty_events` must be sorted ascending (callers
 /// hold them in ordered sets); determinism of the pass relies on it.
-pub fn patch_region<S: AssignmentState + ?Sized>(
+pub fn patch_region(
     instance: &Instance,
-    state: &mut S,
+    arrangement: &mut Arrangement,
     dirty_users: &[UserId],
     dirty_events: &[EventId],
 ) -> PatchOps {
@@ -437,7 +58,7 @@ pub fn patch_region<S: AssignmentState + ?Sized>(
     // and re-adding greedily uniformly handles revoked bids, shrunk
     // user capacities and conflict structure around new assignments.
     for &u in dirty_users {
-        for v in state.remove_user_assignments(u) {
+        for v in arrangement.remove_user_assignments(u) {
             ops.removed.push((v, u));
         }
     }
@@ -447,10 +68,10 @@ pub fn patch_region<S: AssignmentState + ?Sized>(
     let mut evicted_users: BTreeSet<UserId> = BTreeSet::new();
     for &v in dirty_events {
         let capacity = instance.event(v).capacity;
-        if state.load_of(v) <= capacity {
+        if arrangement.load_of(v) <= capacity {
             continue;
         }
-        let mut attendees: Vec<(f64, UserId)> = state
+        let mut attendees: Vec<(f64, UserId)> = arrangement
             .users_of(v)
             .iter()
             .map(|&u| (instance.weight(v, u), u))
@@ -460,9 +81,9 @@ pub fn patch_region<S: AssignmentState + ?Sized>(
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.1.cmp(&b.1))
         });
-        let overflow = state.load_of(v) - capacity;
+        let overflow = arrangement.load_of(v) - capacity;
         for &(_, u) in attendees.iter().take(overflow) {
-            state.unassign(v, u);
+            arrangement.unassign(v, u);
             ops.removed.push((v, u));
             evicted_users.insert(u);
         }
@@ -483,7 +104,9 @@ pub fn patch_region<S: AssignmentState + ?Sized>(
         }
     }
 
-    admit_greedily_in(instance, state, candidates, |v, u| ops.added.push((v, u)));
+    admit_greedily_with(instance, arrangement, candidates, |v, u| {
+        ops.added.push((v, u))
+    });
     ops
 }
 
@@ -510,52 +133,6 @@ mod tests {
         b.build(&sigma, &ConstantInterest(0.5)).unwrap()
     }
 
-    fn full_arrangement(instance: &Instance) -> Arrangement {
-        let mut m = Arrangement::empty_for(instance);
-        admit_greedily_in(instance, &mut m, instance.bid_pairs(), |_, _| {});
-        m
-    }
-
-    fn register(slots: &mut ComponentSlots, inst: &Instance, users: &[UserId], events: &[EventId]) {
-        slots.begin(inst.num_events(), inst.num_users());
-        for &u in users {
-            slots.push_user(u);
-        }
-        for &v in events {
-            slots.push_event(v);
-        }
-    }
-
-    #[test]
-    fn patching_the_full_arrangement_matches_component_sandbox_replay() {
-        let inst = instance();
-        let mut direct = full_arrangement(&inst);
-        let baseline = direct.clone();
-        let dirty_users = vec![UserId::new(0), UserId::new(2)];
-        let dirty_events = vec![EventId::new(1)];
-        let ops = patch_region(&inst, &mut direct, &dirty_users, &dirty_events);
-
-        // Same region repaired inside an extracted sandbox, ops replayed.
-        let users: Vec<UserId> = (0..inst.num_users()).map(UserId::new).collect();
-        let events: Vec<EventId> = (0..inst.num_events()).map(EventId::new).collect();
-        let mut slots = ComponentSlots::default();
-        register(&mut slots, &inst, &users, &events);
-        let mut sandbox =
-            ComponentState::extract(&baseline, &slots, &users, &events, &dirty_events);
-        let sandbox_ops = patch_region(&inst, &mut sandbox, &dirty_users, &dirty_events);
-        assert_eq!(ops, sandbox_ops);
-
-        let mut replayed = baseline.clone();
-        for &(v, u) in &sandbox_ops.removed {
-            assert!(replayed.unassign(v, u));
-        }
-        for &(v, u) in &sandbox_ops.added {
-            assert!(replayed.assign(v, u));
-        }
-        assert_eq!(replayed, direct);
-        assert!(direct.is_feasible(&inst));
-    }
-
     #[test]
     fn eviction_drops_the_lightest_attendees() {
         let inst = instance();
@@ -570,30 +147,5 @@ mod tests {
         assert!(ops.removed.contains(&(EventId::new(0), UserId::new(3))));
         assert_eq!(m.load_of(EventId::new(0)), 2);
         assert!(m.is_feasible(&inst));
-    }
-
-    #[test]
-    fn component_state_mirrors_arrangement_semantics() {
-        let inst = instance();
-        let m = full_arrangement(&inst);
-        let users: Vec<UserId> = (0..inst.num_users()).map(UserId::new).collect();
-        let events: Vec<EventId> = (0..inst.num_events()).map(EventId::new).collect();
-        let mut slots = ComponentSlots::default();
-        register(&mut slots, &inst, &users, &events);
-        let mut s = ComponentState::extract(&m, &slots, &users, &events, &events);
-        for &v in &events {
-            assert_eq!(s.load_of(v), m.load_of(v));
-            assert_eq!(s.users_of(v), m.users_of(v));
-        }
-        for &u in &users {
-            assert_eq!(s.events_of(u), m.events_of(u));
-        }
-        // Mutations keep rows and loads in lockstep.
-        let removed = s.remove_user_assignments(UserId::new(0));
-        assert_eq!(removed, m.events_of(UserId::new(0)));
-        for &v in &removed {
-            assert_eq!(s.load_of(v), m.load_of(v) - 1);
-            assert!(!s.users_of(v).contains(&UserId::new(0)));
-        }
     }
 }

@@ -10,16 +10,15 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use igepa_algos::{ArrangementAlgorithm, GreedyArrangement};
 use igepa_bench::bench_json::BenchReport;
 use igepa_core::{
-    AttributeVector, CapacityTarget, ConstantInterest, EventId, Instance, InstanceDelta,
-    NeverConflict, UserId,
+    CapacityTarget, ConstantInterest, Instance, InstanceDelta, NeverConflict, UserId,
 };
 use igepa_datagen::{
     generate_clustered_dataset, generate_community_trace, generate_synthetic, generate_trace,
     ClusteredConfig, CommunityTraceConfig, DeltaTrace, SyntheticConfig, TraceConfig,
 };
 use igepa_engine::{
-    BatchPolicy, EngineClient, EngineConfig, EngineQuery, EngineRequest, EngineServer,
-    EngineService, Framing, ServerOptions, Shard,
+    EngineClient, EngineConfig, EngineQuery, EngineRequest, EngineServer, EngineService, Framing,
+    ServerOptions, Shard,
 };
 use igepa_experiments::sharded_serving_engine;
 use std::hint::black_box;
@@ -181,7 +180,7 @@ fn sharded_scaling(c: &mut Criterion) {
             b.iter(|| {
                 // Same construction as the `serve --shards N` study, so the
                 // bench measures exactly the configuration the study reports.
-                let mut engine = sharded_serving_engine(base.clone(), 5, shards, 1);
+                let mut engine = sharded_serving_engine(base.clone(), 5, shards);
                 for delta in &deltas {
                     engine.apply(delta).expect("trace deltas are valid");
                 }
@@ -216,7 +215,7 @@ fn service_dispatch(c: &mut Criterion) {
     let base = dataset.instance.clone();
 
     group.bench_function("in_process", |b| {
-        let mut service = EngineService::new(sharded_serving_engine(base.clone(), 5, 4, 1));
+        let mut service = EngineService::new(sharded_serving_engine(base.clone(), 5, 4));
         b.iter(|| {
             let mut total = 0.0;
             for _ in 0..QUERIES_PER_ITER {
@@ -240,7 +239,7 @@ fn service_dispatch(c: &mut Criterion) {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let handle = EngineServer::serve(
                     listener,
-                    sharded_serving_engine(base.clone(), 5, workers, 1),
+                    sharded_serving_engine(base.clone(), 5, workers),
                     ServerOptions::from(Framing::Lines),
                 )
                 .unwrap();
@@ -750,7 +749,7 @@ fn utility_tracking_scenarios(report: &mut BenchReport) {
 ///   `clone_from` of the shard's arrangement per apply. O(shard pairs)
 ///   even when the apply changed two rows.
 ///
-/// Wholesale rebuilds (full re-solves, batch solves) return no diff; the
+/// Wholesale rebuilds (full re-solves, staleness adoptions) return no diff; the
 /// real protocol ships a full snapshot there on both sides, so those
 /// applies resync the diff-side view untimed rather than polluting the
 /// diff samples.
@@ -820,148 +819,6 @@ fn view_diff_scenarios(report: &mut BenchReport) {
     }
 }
 
-/// Component-parallel repair scenarios (this PR): per-batch apply latency
-/// of capacity-edit bursts whose dirty sets split into independent
-/// repair-interference components, at 1/2/4 repair threads.
-///
-/// The instance is built from `GROUPS` disjoint bid groups — every user
-/// bids only inside their group — so a burst that edits one event per
-/// group dirties exactly `GROUPS` components with no interference edges
-/// between them. Threads change where the component repairs run, never
-/// what they produce: the final utilities are asserted bit-identical
-/// across the three configurations.
-fn parallel_repair_scenarios(report: &mut BenchReport) {
-    const GROUPS: usize = 8;
-    const EVENTS_PER_GROUP: usize = 8;
-    const USERS_PER_GROUP: usize = 4_000;
-    const ROUNDS: usize = 48;
-
-    let mut b = Instance::builder();
-    let events: Vec<Vec<EventId>> = (0..GROUPS)
-        .map(|_| {
-            (0..EVENTS_PER_GROUP)
-                .map(|_| b.add_event(USERS_PER_GROUP / 4, AttributeVector::empty()))
-                .collect()
-        })
-        .collect();
-    for (g, group) in events.iter().enumerate() {
-        for u in 0..USERS_PER_GROUP {
-            let mut bids: Vec<EventId> = (0..3)
-                .map(|i| group[(u + g + i * 3) % EVENTS_PER_GROUP])
-                .collect();
-            bids.sort_unstable();
-            bids.dedup();
-            b.add_user(2, AttributeVector::empty(), bids);
-        }
-    }
-    b.interaction_scores(
-        (0..GROUPS * USERS_PER_GROUP)
-            .map(|u| (u as f64 * 0.13) % 1.0)
-            .collect(),
-    );
-    let base = b
-        .build(&NeverConflict, &ConstantInterest(0.5))
-        .expect("grouped instance is valid");
-
-    let mut utilities = Vec::new();
-    for &threads in &[1usize, 2, 4] {
-        let mut engine = Shard::new(
-            base.clone(),
-            Arc::new(NeverConflict),
-            Arc::new(ConstantInterest(0.5)),
-            Arc::new(GreedyArrangement),
-            EngineConfig {
-                seed: 5,
-                staleness_check_interval: 0,
-                repair_threads: threads,
-                ..EngineConfig::default()
-            },
-        );
-        let mut batch_us = Vec::with_capacity(ROUNDS);
-        for round in 0..ROUNDS {
-            let shrink = round % 2 == 0;
-            let deltas: Vec<InstanceDelta> = (0..GROUPS)
-                .map(|g| InstanceDelta::UpdateCapacity {
-                    target: CapacityTarget::Event(events[g][(round / 2) % EVENTS_PER_GROUP]),
-                    capacity: if shrink {
-                        USERS_PER_GROUP / 8
-                    } else {
-                        USERS_PER_GROUP / 4
-                    },
-                })
-                .collect();
-            let start = Instant::now();
-            engine
-                .apply_batch(&deltas)
-                .expect("capacity edits are valid");
-            batch_us.push(start.elapsed().as_nanos() as f64 / 1_000.0);
-        }
-        utilities.push(engine.utility());
-        report.record(format!("parallel_repair/apply_batch/{threads}"), batch_us);
-    }
-    assert!(
-        utilities
-            .iter()
-            .all(|u| u.to_bits() == utilities[0].to_bits()),
-        "repair thread counts diverged: {utilities:?}"
-    );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for &threads in &[2usize, 4] {
-        let speedup = report
-            .mean_of("parallel_repair/apply_batch/1")
-            .zip(report.mean_of(&format!("parallel_repair/apply_batch/{threads}")))
-            .map(|(serial, parallel)| serial / parallel);
-        println!(
-            "parallel_repair: {threads}-thread batch speedup over serial: {:.2}x \
-             ({cores} core(s) available)",
-            speedup.unwrap_or(f64::NAN)
-        );
-    }
-    if cores < 2 {
-        println!(
-            "parallel_repair: single-core host — thread scaling is not measurable here; \
-             the rows above capture the component-split overhead only (spawns are \
-             clamped to available parallelism, results stay bit-identical)"
-        );
-    }
-}
-
-/// Measures the cost-model unit constants with the engine's own online
-/// calibration: drive a churny trace through a calibrating engine and
-/// report the converged EWMA estimates. NOTE: for these two scenarios the
-/// recorded value is **ns per unit** (per candidate pair / per bid pair),
-/// not µs of latency — the name carries the unit.
-fn cost_model_scenarios(report: &mut BenchReport) {
-    let base = base_instance();
-    let trace = trace_for(&base, 512);
-    let mut engine = Shard::new(
-        base,
-        Arc::new(NeverConflict),
-        Arc::new(ConstantInterest(0.5)),
-        Arc::new(GreedyArrangement),
-        EngineConfig {
-            seed: 5,
-            staleness_check_interval: 64,
-            batch_policy: BatchPolicy::cost_model(),
-            online_cost_calibration: true,
-            ..EngineConfig::default()
-        },
-    );
-    for chunk in trace.deltas.chunks(4) {
-        let deltas: Vec<_> = chunk.iter().map(|t| t.delta.clone()).collect();
-        engine.apply_batch(&deltas).expect("trace deltas are valid");
-    }
-    let (patch, solve) = engine.online_cost_estimates();
-    report.record(
-        "cost_model/patch_ns_per_candidate",
-        vec![patch.expect("the driven trace exercises the greedy patch")],
-    );
-    report.record(
-        "cost_model/solve_ns_per_bid",
-        vec![solve.expect("the driven trace exercises a cold solve")],
-    );
-}
-
 /// Serial vs pipelined client: the same query burst, once call-by-call
 /// (one RTT per request) and once sent ahead with correlation-id
 /// matching. Recorded per request.
@@ -980,7 +837,7 @@ fn pipeline_scenarios(report: &mut BenchReport) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = EngineServer::serve(
         listener,
-        sharded_serving_engine(dataset.instance, 5, 4, 1),
+        sharded_serving_engine(dataset.instance, 5, 4),
         ServerOptions::from(Framing::Lines),
     )
     .unwrap();
@@ -1061,7 +918,7 @@ fn concurrent_reader_scenarios(report: &mut BenchReport) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let handle = EngineServer::serve(
             listener,
-            sharded_serving_engine(base.clone(), 5, 4, 1),
+            sharded_serving_engine(base.clone(), 5, 4),
             ServerOptions::from(Framing::Lines),
         )
         .unwrap();
@@ -1156,7 +1013,7 @@ fn durability_scenarios(report: &mut BenchReport) {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         std::fs::create_dir_all(&dir).unwrap();
-        let mut engine = sharded_serving_engine(base.clone(), 5, 4, 1);
+        let mut engine = sharded_serving_engine(base.clone(), 5, 4);
         let mut controller =
             policy.map(|p| DurabilityController::create(&dir, p).expect("scratch dir is writable"));
         let mut apply_us = Vec::with_capacity(requests.len());
@@ -1185,7 +1042,7 @@ fn durability_scenarios(report: &mut BenchReport) {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         std::fs::create_dir_all(&dir).unwrap();
-        let mut engine = sharded_serving_engine(base.clone(), 5, 4, 1);
+        let mut engine = sharded_serving_engine(base.clone(), 5, 4);
         let mut controller = DurabilityController::create(&dir, DurabilityPolicy::Off)
             .expect("scratch dir is writable");
         for (i, request) in requests.iter().take(n).enumerate() {
@@ -1203,7 +1060,7 @@ fn durability_scenarios(report: &mut BenchReport) {
             let start = Instant::now();
             let recovered = recover(
                 &dir,
-                || sharded_serving_engine(base.clone(), 5, 4, 1),
+                || sharded_serving_engine(base.clone(), 5, 4),
                 |_| Err("no snapshot in this scenario".to_string()),
             )
             .expect("the log recovers");
@@ -1256,13 +1113,7 @@ fn overload_scenarios(report: &mut BenchReport) {
     // sheds, and the measurements are deterministic in what they hit.
     let handle = EngineServer::serve(
         listener,
-        sharded_serving_engine_with_admission(
-            dataset.instance,
-            5,
-            4,
-            1,
-            AdmissionPolicy::bounded(0),
-        ),
+        sharded_serving_engine_with_admission(dataset.instance, 5, 4, AdmissionPolicy::bounded(0)),
         ServerOptions::from(Framing::Lines),
     )
     .unwrap();
@@ -1357,7 +1208,7 @@ fn reshard_scenarios(report: &mut BenchReport) {
         &CommunityTraceConfig::partition_friendly(400, 4),
         29,
     );
-    let mut engine = sharded_serving_engine(dataset.instance, 5, 4, 1);
+    let mut engine = sharded_serving_engine(dataset.instance, 5, 4);
     for timed in &trace.deltas {
         let response = engine.handle(&EngineRequest::Apply {
             delta: timed.delta.clone(),
@@ -1400,9 +1251,7 @@ fn main() {
     let mut report = BenchReport::new();
     churn_scenarios(&mut report);
     view_diff_scenarios(&mut report);
-    parallel_repair_scenarios(&mut report);
     utility_tracking_scenarios(&mut report);
-    cost_model_scenarios(&mut report);
     pipeline_scenarios(&mut report);
     concurrent_reader_scenarios(&mut report);
     durability_scenarios(&mut report);

@@ -11,8 +11,8 @@ use igepa_bench::bench_default_config;
 use igepa_core::{AdmissibleSetIndex, EventId};
 use igepa_datagen::{generate_clustered_dataset, generate_synthetic, ClusteredConfig};
 use igepa_graph::{
-    betweenness_centrality, closeness_centrality, core_numbers, greedy_modularity,
-    label_propagation, pagerank, PageRankConfig,
+    betweenness_centrality, closeness_centrality, core_numbers, label_propagation, pagerank,
+    PageRankConfig,
 };
 use igepa_lp::{presolve_and_solve, LinearProgram, SimplexSolver};
 use rand::rngs::StdRng;
@@ -118,9 +118,6 @@ fn graph_analysis(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             black_box(label_propagation(&g, 20, &mut rng).num_communities())
         })
-    });
-    group.bench_function("greedy_modularity", |b| {
-        b.iter(|| black_box(greedy_modularity(&g).num_communities()))
     });
     group.finish();
 }

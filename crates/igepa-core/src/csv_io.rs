@@ -30,7 +30,7 @@
 //! ```
 //!
 //! Empty optional fields (no time window, no location) are left blank.
-//! Loading re-validates every model invariant through [`InstanceBuilder`].
+//! Loading re-validates every model invariant through [`InstanceBuilder`](crate::InstanceBuilder).
 
 use crate::arrangement::Arrangement;
 use crate::attrs::AttributeVector;

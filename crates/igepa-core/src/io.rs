@@ -4,7 +4,7 @@
 //! document. The format stores exactly the information of Definition 8 —
 //! events, users with bids, the conflict pairs, the interest values of the
 //! bid pairs, the per-user interaction scores and β — and re-import goes
-//! through [`InstanceBuilder`], so a tampered or hand-written file is
+//! through [`InstanceBuilder`](crate::InstanceBuilder), so a tampered or hand-written file is
 //! subjected to the same validation as programmatic construction.
 //!
 //! This is what an EBSN platform would use to snapshot a concrete

@@ -89,7 +89,7 @@ pub use io::{
 };
 pub use partition::{
     assign_users, boundary_events, spans_shards, HashPartitioner, LocalityPartitioner,
-    OverridePartitioner, PartitionCut, Partitioner,
+    PartitionCut, Partitioner,
 };
 pub use stats::{ArrangementStats, InstanceStats};
 pub use travel::{DistanceConflict, TravelTimeConflict};

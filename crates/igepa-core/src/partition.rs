@@ -42,8 +42,7 @@ use crate::instance::Instance;
 /// partitioner when a user first appears and the placement then sticks
 /// until a live resharding pass re-consults it (with the new shard
 /// count) for every user at once — individual users never migrate
-/// between passes. Targeted moves are expressed by layering an
-/// [`OverridePartitioner`] on top of any base policy.
+/// between passes.
 pub trait Partitioner {
     /// Shard index in `0..num_shards` for a user with the given bid set.
     fn shard_for(&self, user: UserId, bids: &[EventId], num_shards: usize) -> usize;
@@ -175,77 +174,6 @@ impl Partitioner for LocalityPartitioner {
 
     fn name(&self) -> &'static str {
         "locality"
-    }
-}
-
-/// A base policy plus a per-user override table, consulted first.
-///
-/// This is how targeted migrations (skew-triggered proposals from the
-/// reconcile loop, operator-pinned placements) are expressed without
-/// giving up determinism: the override table is explicit state, so the
-/// combined policy is still a pure function of `(user, bids,
-/// num_shards)` — a resharding pass that re-consults it re-derives the
-/// same placement, and overridden users survive shard-count changes on
-/// their pinned shard (clamped into range by the caller, like any other
-/// placement).
-pub struct OverridePartitioner {
-    base: Box<dyn Partitioner + Send>,
-    overrides: std::collections::BTreeMap<UserId, usize>,
-}
-
-impl std::fmt::Debug for OverridePartitioner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OverridePartitioner")
-            .field("base", &self.base.name())
-            .field("overrides", &self.overrides)
-            .finish()
-    }
-}
-
-impl OverridePartitioner {
-    /// Wraps `base` with an empty override table.
-    pub fn new(base: Box<dyn Partitioner + Send>) -> Self {
-        OverridePartitioner {
-            base,
-            overrides: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Pins `user` to `shard` (replacing any previous pin).
-    pub fn pin(&mut self, user: UserId, shard: usize) {
-        self.overrides.insert(user, shard);
-    }
-
-    /// Removes `user`'s pin; their next placement falls back to the base
-    /// policy.
-    pub fn unpin(&mut self, user: UserId) {
-        self.overrides.remove(&user);
-    }
-
-    /// Pinned users in ascending id order.
-    pub fn pins(&self) -> impl Iterator<Item = (UserId, usize)> + '_ {
-        self.overrides.iter().map(|(&u, &k)| (u, k))
-    }
-
-    /// Number of pinned users.
-    pub fn num_pins(&self) -> usize {
-        self.overrides.len()
-    }
-}
-
-impl Partitioner for OverridePartitioner {
-    fn shard_for(&self, user: UserId, bids: &[EventId], num_shards: usize) -> usize {
-        match self.overrides.get(&user) {
-            // Pins past the current shard count are clamped rather than
-            // dropped: the user stays as close to the pinned shard as
-            // the topology allows, mirroring the coordinator's clamp.
-            Some(&shard) => shard.min(num_shards.saturating_sub(1)),
-            None => self.base.shard_for(user, bids, num_shards),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "override"
     }
 }
 
@@ -452,27 +380,6 @@ mod tests {
             .unwrap();
         let s = p.shard_for(UserId::new(0), &[shard0_event, shard1_event], 2);
         assert_eq!(s, 0, "one vote each must resolve to shard 0");
-    }
-
-    #[test]
-    fn override_partitioner_pins_win_and_clamp() {
-        let mut p = OverridePartitioner::new(Box::new(HashPartitioner));
-        let user = UserId::new(7);
-        let base = HashPartitioner.shard_for(user, &[], 4);
-        // Without a pin, the base policy decides.
-        assert_eq!(p.shard_for(user, &[], 4), base);
-        // A pin wins over the base policy and survives re-consultation.
-        p.pin(user, 3);
-        assert_eq!(p.shard_for(user, &[], 4), 3);
-        assert_eq!(p.shard_for(user, &[], 4), 3);
-        assert_eq!(p.num_pins(), 1);
-        assert_eq!(p.pins().collect::<Vec<_>>(), vec![(user, 3)]);
-        // A pin past the shard count clamps instead of dropping.
-        assert_eq!(p.shard_for(user, &[], 2), 1);
-        // Unpinning falls back to the base policy.
-        p.unpin(user);
-        assert_eq!(p.shard_for(user, &[], 4), base);
-        assert_eq!(p.num_pins(), 0);
     }
 
     #[test]

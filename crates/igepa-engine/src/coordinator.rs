@@ -3,7 +3,7 @@
 //! ## Partitioned state
 //!
 //! Users are placed onto shards by a pluggable
-//! [`Partitioner`](igepa_core::Partitioner) when they first appear, and
+//! [`Partitioner`] when they first appear, and
 //! stay put until a live resharding pass
 //! ([`ShardedEngine::reshard`]) re-places them. Every shard serves a
 //! **sub-instance** holding *all* events
@@ -35,16 +35,13 @@
 //! explicit [`ShardedEngine::rebalance`]) the coordinator runs the bounded
 //! exchange protocol of [`crate::reconcile`], moving slack quota toward
 //! unmet demand and re-repairing the shards it touched. When the pass
-//! observes persistent load skew it raises a **migration proposal**
-//! (counted in [`CoordinatorStats::migration_proposals`], concretised by
-//! [`ShardedEngine::migration_proposal`]) — quota exchange fixes
+//! observes persistent load skew it counts a **migration proposal**
+//! ([`CoordinatorStats::migration_proposals`]) — quota exchange fixes
 //! stranded capacity, but only moving *users* fixes structural skew.
 //!
 //! ## Elastic resharding
 //!
-//! [`ShardedEngine::reshard`] changes the shard count (or re-places
-//! users at a constant count, e.g. under an
-//! [`OverridePartitioner`](igepa_core::OverridePartitioner)) **live**:
+//! [`ShardedEngine::reshard`] changes the shard count **live**:
 //! every user's sub-state — interest columns, arrangement slice,
 //! per-event quota share, and exact-sum `UtilityTracker` contribution —
 //! moves with it. The pass is a pure re-partitioning: each new shard's
@@ -130,8 +127,9 @@ pub struct CoordinatorStats {
     pub reshards: u64,
     /// Users whose owning shard changed, summed across all reshards.
     pub users_migrated: u64,
-    /// Skew-triggered migration proposals raised by the reconcile loop
-    /// (proposals are surfaced, never auto-executed).
+    /// Reconcile passes that ended with skewed shard load: the busiest
+    /// shard serves at least `2 × least + 8` pairs. Only a count; no
+    /// migration plan is built or executed.
     pub migration_proposals: u64,
 }
 
@@ -748,10 +746,8 @@ impl ShardedEngine {
     ///
     /// Must run at a barrier (shards attached and quiescent). Shard
     /// counts may grow or shrink; `new_shards == num_shards` re-places
-    /// users without changing the count (useful with an
-    /// [`OverridePartitioner`](igepa_core::OverridePartitioner) honoring
-    /// a migration proposal). Errors only on a zero target; the engine
-    /// is untouched on error.
+    /// users without changing the count. Errors only on a zero target;
+    /// the engine is untouched on error.
     pub fn reshard(&mut self, new_shards: usize) -> Result<MigrationRecord, String> {
         debug_assert_eq!(self.shards.len(), self.num_shards, "barrier first");
         debug_assert!(
@@ -934,70 +930,16 @@ impl ShardedEngine {
         })
     }
 
-    /// Swaps the placement policy. Existing placements are untouched
-    /// until the next [`ShardedEngine::reshard`] pass re-consults the
-    /// policy (newly registered users consult it immediately). This is
-    /// how a [`ShardedEngine::migration_proposal`] is executed: wrap the
-    /// current policy in an
-    /// [`OverridePartitioner`](igepa_core::OverridePartitioner) seeded
-    /// with the proposed moves, install it here, and reshard at the
-    /// current shard count.
-    pub fn set_partitioner(&mut self, partitioner: Box<dyn Partitioner + Send>) {
-        self.partitioner = partitioner;
-    }
-
-    /// Concretises the reconcile loop's skew signal into a migration
-    /// plan: when the busiest shard serves at least twice the pairs of
-    /// the least busy one (plus a small hysteresis floor), proposes
-    /// moving that donor's heaviest users to the receiver until roughly
-    /// half the gap would close. Returns `(global user, target shard)`
-    /// moves, ready to seed an
-    /// [`OverridePartitioner`](igepa_core::OverridePartitioner) for a
-    /// same-count [`ShardedEngine::reshard`]; `None` while load is
-    /// balanced. Read-only and deterministic — proposals are surfaced,
-    /// never auto-executed.
-    pub fn migration_proposal(&self) -> Option<Vec<(UserId, usize)>> {
+    /// Whether shard load is skewed enough to count a migration
+    /// proposal: the busiest shard serves at least `2 × least + 8`
+    /// pairs. O(shards); the `+ 8` floor keeps near-empty engines quiet.
+    fn load_is_skewed(&self) -> bool {
         if self.num_shards <= 1 || self.shards.len() != self.num_shards {
-            return None;
+            return false;
         }
-        let donor = (0..self.num_shards).max_by_key(|&k| (self.shard_pairs[k], usize::MAX - k))?;
-        let receiver = (0..self.num_shards).min_by_key(|&k| (self.shard_pairs[k], k))?;
-        let (heavy, light) = (self.shard_pairs[donor], self.shard_pairs[receiver]);
-        if donor == receiver || heavy < 2 * light + 8 {
-            return None;
-        }
-        // Donor users by (most pairs, lowest global id), moved until
-        // half the gap closes.
-        let mut candidates: Vec<(usize, UserId)> = self.locals[donor]
-            .iter()
-            .enumerate()
-            .map(|(local, &global)| {
-                (
-                    self.shards[donor]
-                        .arrangement()
-                        .events_of(UserId::new(local))
-                        .len(),
-                    global,
-                )
-            })
-            .filter(|&(pairs, _)| pairs > 0)
-            .collect();
-        candidates.sort_by_key(|&(pairs, global)| (std::cmp::Reverse(pairs), global));
-        let target = (heavy - light) / 2;
-        let mut moved = 0usize;
-        let mut plan = Vec::new();
-        for (pairs, global) in candidates {
-            if moved >= target {
-                break;
-            }
-            plan.push((global, receiver));
-            moved += pairs;
-        }
-        if plan.is_empty() {
-            None
-        } else {
-            Some(plan)
-        }
+        let heavy = self.shard_pairs.iter().copied().max().unwrap_or(0);
+        let light = self.shard_pairs.iter().copied().min().unwrap_or(0);
+        heavy >= 2 * light + 8
     }
 
     /// Applies a shard-local delta, turning a rejection into a loud
@@ -1363,11 +1305,9 @@ impl ShardedEngine {
             }
         }
         // Quota exchange cannot fix structural skew — only moving users
-        // can. When the post-pass load remains skewed, raise a migration
-        // proposal (a counter plus the concrete plan from
-        // [`ShardedEngine::migration_proposal`]); executing it is the
-        // operator's (or the serving layer's) call.
-        if self.migration_proposal().is_some() {
+        // can. When the post-pass load remains skewed, count a migration
+        // proposal.
+        if self.load_is_skewed() {
             self.coordinator_stats.migration_proposals += 1;
         }
         report
@@ -2319,79 +2259,61 @@ mod tests {
         );
     }
 
-    /// Every user on shard 0: the degenerate skew the reconcile loop's
-    /// proposal machinery exists to detect and undo.
-    struct AllToZero;
-    impl Partitioner for AllToZero {
-        fn shard_for(&self, _user: UserId, _bids: &[EventId], _num_shards: usize) -> usize {
-            0
+    /// Three of every four users on shard 0: a skew that quota exchange
+    /// cannot fix.
+    struct MostlyToZero;
+    impl Partitioner for MostlyToZero {
+        fn shard_for(&self, user: UserId, _bids: &[EventId], _num_shards: usize) -> usize {
+            usize::from(user.index() % 4 == 3)
         }
         fn name(&self) -> &'static str {
-            "all-to-zero"
+            "mostly-to-zero"
         }
     }
 
     #[test]
-    fn migration_proposal_feeds_an_override_reshard_that_rebalances() {
+    fn skewed_trace_pins_the_migration_proposal_counter() {
         let mut b = Instance::builder();
         let events: Vec<EventId> = (0..6)
-            .map(|_| b.add_event(2, AttributeVector::empty()))
+            .map(|_| b.add_event(10, AttributeVector::empty()))
             .collect();
-        for _ in 0..8 {
-            b.add_user(2, AttributeVector::empty(), events.clone());
-        }
-        b.interaction_scores(vec![0.5; 8]);
+        b.add_user(2, AttributeVector::empty(), vec![events[0]]);
+        b.interaction_scores(vec![0.5]);
         let instance = b.build(&NeverConflict, &ConstantInterest(0.5)).unwrap();
         let mut engine = ShardedEngine::new(
             instance,
             Box::new(NeverConflict),
             Box::new(ConstantInterest(0.5)),
             Box::new(GreedyArrangement),
-            Box::new(AllToZero),
-            ShardedConfig::with_shards(2),
+            Box::new(MostlyToZero),
+            ShardedConfig {
+                reconcile_interval: 4,
+                ..ShardedConfig::with_shards(2)
+            },
         );
-        assert!(engine.shard(0).arrangement().len() >= 8);
-        assert_eq!(engine.shard(1).arrangement().len(), 0);
-
-        let plan = engine
-            .migration_proposal()
-            .expect("total skew must trigger a proposal");
-        assert!(plan.iter().all(|&(_, target)| target == 1));
-        // The reconcile loop surfaces the same signal as a counter.
-        engine.rebalance();
-        assert!(
-            engine
-                .snapshot_state(0)
-                .coordinator_stats
-                .migration_proposals
-                >= 1
-        );
-
-        let before_pairs: Vec<_> = engine.merged_arrangement().pairs().collect();
-        let before_utility = engine.merged_utility().total;
-        let mut overrides = igepa_core::OverridePartitioner::new(Box::new(AllToZero));
-        for &(user, target) in &plan {
-            overrides.pin(user, target);
+        for i in 0..48usize {
+            let delta = if i % 6 == 5 {
+                InstanceDelta::RemoveUser {
+                    user: UserId::new(i / 2),
+                }
+            } else {
+                InstanceDelta::AddUser {
+                    capacity: 2,
+                    attrs: AttributeVector::empty(),
+                    bids: vec![events[i % 6], events[(i + 1) % 6]],
+                    interaction: 0.3 + 0.01 * i as f64,
+                }
+            };
+            engine.apply(&delta).unwrap();
         }
-        engine.set_partitioner(Box::new(overrides));
-        let record = engine.reshard(2).unwrap();
-        assert_eq!(record.moved_users, plan.len() as u64);
-
-        // Targeted moves landed, the served state did not change.
-        assert!(!engine.shard(1).arrangement().is_empty());
-        assert!(
-            engine.shard(0).arrangement().len() < before_pairs.len(),
-            "the donor actually shed load"
-        );
-        assert_eq!(
-            engine.merged_arrangement().pairs().collect::<Vec<_>>(),
-            before_pairs
-        );
-        assert_eq!(
-            engine.merged_utility().total.to_bits(),
-            before_utility.to_bits()
-        );
-        assert!(engine.merged_arrangement().is_feasible(engine.instance()));
+        // Expected values were recorded from the plan-building
+        // implementation the O(shards) skew test replaced; 5 of the 12
+        // passes see too little skew to count.
+        let stats = engine.coordinator_stats();
+        assert_eq!(stats.reconcile_passes, 12);
+        assert_eq!(stats.migration_proposals, 7);
+        assert_eq!(engine.shard(0).arrangement().len(), 41);
+        assert_eq!(engine.shard(1).arrangement().len(), 13);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`wal`] — a segmented, checksummed log of every mutating request,
 //!   appended **before** the request is acknowledged (and before it
 //!   executes), with a configurable fsync policy
-//!   ([`DurabilityPolicy`](crate::shard::DurabilityPolicy));
+//!   ([`DurabilityPolicy`]);
 //! * [`snapshot`] — periodic consistent checkpoints of the full engine
 //!   state, versioned and checksummed, after which covered WAL segments
 //!   are compacted away;

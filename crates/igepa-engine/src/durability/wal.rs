@@ -206,7 +206,7 @@ impl WalWriter {
         self.segment_max_bytes = bytes.max(1);
     }
 
-    /// Arms the crash-injection hook (see [`WalWriter::fail_after_bytes`]).
+    /// Arms the crash-injection hook (see the `fail_after_bytes` field).
     pub fn set_fail_after_bytes(&mut self, limit: Option<u64>) {
         self.fail_after_bytes = limit;
     }

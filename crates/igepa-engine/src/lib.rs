@@ -55,13 +55,21 @@
 //! bit-identical to a recompute (the shard `debug_assert`s exactly that
 //! after every repair). The arrangement's reverse attendee index makes
 //! `users_of` an O(1) slice borrow, which also removed the
-//! `dirty.events × |U|` term from the greedy patch and from
-//! [`BatchPolicy::cost_model`]'s unit basis.
+//! `dirty.events × |U|` term from the greedy patch.
 //!
 //! ## The O(changed) apply path
 //!
-//! Two mechanisms keep per-apply work proportional to what the apply
-//! *changed*, not to the size of the shard:
+//! Per-apply work stays proportional to what the apply *changed*, not
+//! to the size of the shard:
+//!
+//! * **One serial repair kernel.** Each shard repairs its dirty set with
+//!   [`igepa_algos::patch_region`], the paper's greedy arrangement (GG)
+//!   restricted to the dirty region: prune the dirty users, evict
+//!   overflow at the dirty events, then re-admit the heaviest feasible
+//!   candidate pairs around them. It escalates to a warm-start re-solve
+//!   only when the dirty users exceed
+//!   [`EngineConfig::escalation_fraction`] of the shard. Bursts take the
+//!   same path once, after all their deltas are absorbed.
 //!
 //! * **Diff-shipped cache views.** The transport's query cache used to
 //!   be refreshed by an O(shard pairs) `clone_from` of the arrangement
@@ -72,36 +80,11 @@
 //!   metadata — that the cache replays onto its installed snapshot in
 //!   place. Deltas are chained by epoch; whenever the worker cannot
 //!   vouch for the chain (first apply after a barrier resume, full
-//!   re-solves, batch solves) it falls back to shipping a full
+//!   re-solves, staleness adoptions) it falls back to shipping a full
 //!   snapshot, so the installed view is bit-identical to a fresh clone
 //!   either way. `BENCH_engine.json`'s `view_diff/*` rows pin the win:
 //!   diff installs are two orders of magnitude cheaper than
 //!   `clone_from` at 100k users.
-//!
-//! * **Component-parallel intra-shard repair.** A dirty set usually
-//!   decomposes: two dirty users whose bid sets share no event (and
-//!   collide with no common attendee) cannot influence each other's
-//!   repair. [`Shard`] builds the *repair-interference graph* over the
-//!   dirty entities (dirty user → its bids and current events; dirty
-//!   event → its bidders and attendees; attendees → their bids), splits
-//!   it into connected components with `igepa-graph`'s epoch-stamped
-//!   `DenseInterner` + `DenseDisjointSets` (O(changed) with no
-//!   per-repair allocation churn), and patches each component in its
-//!   own sandbox ([`igepa_algos::ComponentState`] over a shared
-//!   [`igepa_algos::ComponentSlots`] slot table) on the vendored
-//!   `scoped-pool` fork-join helper. Sandboxed ops replay onto the real
-//!   arrangement in component order, and because every utility read
-//!   sums through [`igepa_core::ExactSum`] — order-independent by
-//!   construction — the result is **bit-identical for any thread
-//!   count** (proptested at 1/2/4 threads in CI).
-//!
-//! The knob is [`EngineConfig::repair_threads`]. It defaults to `1`,
-//! which keeps the original serial `patch_region` path and lets legacy
-//! configs (which predate the field) deserialize into identical
-//! behaviour. Any value `> 1` enables the component split; actual
-//! spawns are clamped to the host's available parallelism, so
-//! oversubscribed settings cost nothing but still exercise the same
-//! deterministic code path.
 //!
 //! The last solver-side gap is closed in `igepa-lp`: the exact simplex
 //! backend accepts a crash *basis* from a previous solve
@@ -143,7 +126,7 @@
 //! ## Requests as data
 //!
 //! [`EngineRequest`] / [`EngineResponse`] form a serde-backed JSON-lines
-//! protocol ([`protocol`]); [`replay`] drives an engine from a recorded
+//! protocol ([`protocol`]); [`replay()`] drives an engine from a recorded
 //! request log and reports per-delta latency plus the utility achieved.
 //! Traces are reproducible artifacts: `igepa-datagen`'s `trace` module
 //! generates Meetup-style arrival-process workloads to feed it.
@@ -281,7 +264,7 @@
 //! text — a shed is *always* a response, never a silent drop.
 //!
 //! The [`faults`] module closes the loop: a seeded
-//! [`FaultPlan`](faults::FaultPlan) injects slow shards, dropped worker
+//! [`FaultPlan`] injects slow shards, dropped worker
 //! view shipments and WAL stalls/failures into a server through
 //! [`ServerOptions::faults`], and the `overload` proptest
 //! suite proves the invariants under any plan — every accepted request
@@ -326,12 +309,10 @@
 //! Crash recovery replays `Reshard` records like any other mutation,
 //! so a kill on *either* side of the owner rewrite recovers bit-exact
 //! (`tests/crash_recovery.rs` drives torn-record, torn-checkpoint and
-//! both owner-rewrite kill points). The reconcile loop surfaces
-//! skew-triggered migration proposals
-//! ([`ShardedEngine::migration_proposal`]) which an operator executes
-//! by pinning the moves in an
-//! [`OverridePartitioner`](igepa_core::OverridePartitioner) and
-//! resharding at the current count; proposals are never auto-executed.
+//! both owner-rewrite kill points). The reconcile loop counts passes
+//! that end with skewed shard load
+//! ([`CoordinatorStats::migration_proposals`]); it builds no migration
+//! plan, and nothing moves users except an explicit reshard.
 //! `ShardStats` reports per-shard `moved_in`/`moved_out` counters, and
 //! `BENCH_engine.json`'s `reshard/*` rows price the migration pause
 //! and the per-user move cost.
@@ -447,8 +428,8 @@ pub use reconcile::ReconcileReport;
 pub use replay::{replay, replay_jsonl, LatencySummary, ReplayOutcome, ReplayReport};
 pub use service::EngineService;
 pub use shard::{
-    AdmissionPolicy, ApplyOutcome, BatchPolicy, DurabilityPolicy, EngineConfig, EngineStats,
-    RepairKind, Shard, ShardOp,
+    AdmissionPolicy, ApplyOutcome, DurabilityPolicy, EngineConfig, EngineStats, RepairKind, Shard,
+    ShardOp,
 };
 pub use transport::{
     ClientError, EngineClient, EngineServer, Framing, RetryPolicy, ServerHandle, ServerOptions,

@@ -17,7 +17,7 @@
 //! to evolve. [`RequestEnvelope`] / [`ResponseEnvelope`] add exactly that
 //! — `{id, version, body}` in, `{id, result}` out, where `result` is a
 //! standard `Ok`/`Err` pairing of [`EngineResponse`] with
-//! [`EngineError`](crate::EngineError). Decoding stays **backwards
+//! [`EngineError`]. Decoding stays **backwards
 //! compatible**: [`decode_request_envelope`] accepts both enveloped lines
 //! and bare pre-envelope requests (wrapped under [`LEGACY_VERSION`], which
 //! the service layer answers with the original silent-and-stringly
@@ -151,10 +151,10 @@ pub struct OverloadStats {
     /// High-water mark of the dispatch queue depth.
     pub high_water: u64,
     /// Mutations refused with
-    /// [`EngineError::Overloaded`](crate::EngineError::Overloaded).
+    /// [`EngineError::Overloaded`].
     pub shed: u64,
     /// Requests dropped with
-    /// [`EngineError::DeadlineExceeded`](crate::EngineError::DeadlineExceeded)
+    /// [`EngineError::DeadlineExceeded`]
     /// because their budget expired before dispatch.
     pub deadline_expired: u64,
     /// Whether the server is in read-only degraded mode (mutations
@@ -366,7 +366,7 @@ pub struct RequestEnvelope {
     /// Optional per-request budget in milliseconds from arrival at the
     /// server. A request whose budget has already expired when the
     /// dispatcher dequeues it is dropped with
-    /// [`EngineError::DeadlineExceeded`](crate::EngineError::DeadlineExceeded)
+    /// [`EngineError::DeadlineExceeded`]
     /// instead of doing dead work. `None` (the legacy wire shape) means
     /// no deadline.
     pub deadline_ms: Option<u64>,

@@ -11,14 +11,12 @@
 //! between shards (see [`crate::reconcile`]).
 
 use crate::catalog::CatalogSnapshot;
-use igepa_algos::{patch_region, ComponentSlots, ComponentState, PatchOps, WarmStart};
+use igepa_algos::{patch_region, WarmStart};
 use igepa_core::{
     Arrangement, ArrangementDiff, CapacityTarget, ConflictFn, CoreError, DeltaEffect, DirtySet,
     EventId, Instance, InstanceDelta, InterestFn, UserId, UtilityBreakdown, UtilityTracker,
 };
-use igepa_graph::{DenseDisjointSets, DenseInterner};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Shared, thread-safe conflict-function handle. Shards are owned by
@@ -32,55 +30,6 @@ pub type SharedInterest = Arc<dyn InterestFn + Send + Sync>;
 
 /// Shared, thread-safe warm-start solver handle.
 pub type SharedSolver = Arc<dyn WarmStart + Send + Sync>;
-
-/// How a shard repairs after absorbing a *burst* of deltas in one batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum BatchPolicy {
-    /// Always run the incremental path: greedy patch, escalating to a full
-    /// warm-start re-solve when the dirty-user count exceeds
-    /// [`EngineConfig::escalation_fraction`]. This is the original engine
-    /// behaviour and the default.
-    #[default]
-    Escalation,
-    /// Per-burst cost model: estimate the greedy patch's work (candidate
-    /// pairs around the dirty set plus the per-dirty-event attendee scans)
-    /// against one cold solve of the whole instance, and run whichever is
-    /// predicted cheaper. Large bursts dirty most of the instance, where
-    /// `benches/engine.rs` shows a single cold greedy solve beats
-    /// patch-plus-escalation.
-    CostModel {
-        /// Estimated cost per candidate pair examined by the greedy patch.
-        patch_cost_per_candidate: f64,
-        /// Estimated cost per bid pair examined by a cold solve.
-        solve_cost_per_bid: f64,
-    },
-}
-
-impl BatchPolicy {
-    /// A cost model with calibrated constants: the per-unit costs were
-    /// measured by `benches/engine.rs` (the `cost_model/*` scenarios of
-    /// `BENCH_engine.json`, via the engine's own online calibration) on
-    /// the bench workload — ~175 ns per candidate pair examined by the
-    /// greedy patch (candidate-set assembly, weight lookup, conflict
-    /// scan, admission bookkeeping) vs ~115 ns per bid pair of a cold
-    /// greedy solve (sort share plus admission). The constants were
-    /// re-derived when the reverse attendee index removed the
-    /// `dirty.events × |U|` attendee-scan term from the patch basis
-    /// (`Shard::patch_units` now counts candidate pairs only, so the
-    /// per-unit cost absorbs the patch's fixed per-repair overhead
-    /// honestly instead of amortising it over a fictitious full-user
-    /// scan). Only the *ratio* steers the patch-vs-solve decision, so
-    /// these defaults transfer across machines far better than absolute
-    /// timings; enable [`EngineConfig::online_cost_calibration`] to
-    /// track a specific deployment's observed ratio with a per-shard
-    /// EWMA.
-    pub fn cost_model() -> Self {
-        BatchPolicy::CostModel {
-            patch_cost_per_candidate: 175.0,
-            solve_cost_per_bid: 115.0,
-        }
-    }
-}
 
 /// When the write-ahead log is flushed to stable storage (fsync'd).
 ///
@@ -197,31 +146,10 @@ pub struct EngineConfig {
     /// Adopt the cold solution when the served utility falls below
     /// `(1 − max_staleness) ×` the cold utility.
     pub max_staleness: f64,
-    /// How batched bursts are repaired (see [`BatchPolicy`]).
-    pub batch_policy: BatchPolicy,
-    /// Refine [`BatchPolicy::CostModel`]'s per-unit costs online: each
-    /// shard keeps an EWMA of its *measured* greedy-patch and cold-solve
-    /// timings (normalised per candidate / per bid) and prefers those
-    /// over the configured constants once observed. Off by default —
-    /// wall-clock-driven decisions make repair choices (not results)
-    /// machine-dependent, which bit-for-bit replay comparisons must
-    /// opt into knowingly.
-    pub online_cost_calibration: bool,
     /// Fsync policy of the write-ahead log when the engine is served with
     /// durability enabled (ignored otherwise). See [`DurabilityPolicy`]
     /// for the loss window each point of the spectrum accepts.
     pub durability: DurabilityPolicy,
-    /// Worker threads for intra-shard repair: when greater than 1 and the
-    /// dirty set splits into several independent components of the
-    /// repair-interference graph, components are repaired concurrently on
-    /// a scoped pool of up to this many threads (spawns are further
-    /// clamped to the host's available parallelism; on a single-core
-    /// host the split still runs but components repair inline, so set 1
-    /// to skip the split entirely). Exact summation makes the result
-    /// bit-identical to the serial pass regardless of thread count.
-    /// Default 1 (serial), so configs serialized before the knob existed
-    /// deserialize and behave identically.
-    pub repair_threads: usize,
     /// Admission control of the serving dispatch queue (see
     /// [`AdmissionPolicy`]). Ignored by in-process engines; the TCP
     /// transport enforces it at the connection threads. Default
@@ -237,18 +165,25 @@ impl Default for EngineConfig {
             escalation_fraction: 0.25,
             staleness_check_interval: 256,
             max_staleness: 0.05,
-            batch_policy: BatchPolicy::Escalation,
-            online_cost_calibration: false,
             durability: DurabilityPolicy::Off,
-            repair_threads: 1,
             admission: AdmissionPolicy::Unbounded,
         }
     }
 }
 
-/// Hand-written so configs serialized before `batch_policy` existed keep
-/// deserializing (the vendored serde derive has no `#[serde(default)]`):
-/// a missing field falls back to [`BatchPolicy::default`].
+/// Hand-written so configs serialized before `durability` or `admission`
+/// existed keep deserializing (the vendored serde derive has no
+/// `#[serde(default)]`): a missing field falls back to its default.
+///
+/// Keys this decoder does not look up are ignored, so configs and
+/// snapshots written by older builds still decode. They carry three
+/// retired keys:
+/// - the batch policy: a legacy cost-model policy now runs the default
+///   escalation repair (greedy patch, escalating to a warm-start
+///   re-solve);
+/// - the online cost calibration flag, which only fed that cost model;
+/// - the repair thread count: threads never changed results, and repair
+///   is now always serial.
 impl serde::Deserialize for EngineConfig {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         let entries = serde::expect_object(value, "EngineConfig")?;
@@ -273,24 +208,9 @@ impl serde::Deserialize for EngineConfig {
                 "max_staleness",
                 "EngineConfig",
             )?)?,
-            batch_policy: match entries.iter().find(|(name, _)| name == "batch_policy") {
-                Some((_, policy)) => serde::Deserialize::from_value(policy)?,
-                None => BatchPolicy::default(),
-            },
-            online_cost_calibration: match entries
-                .iter()
-                .find(|(name, _)| name == "online_cost_calibration")
-            {
-                Some((_, flag)) => serde::Deserialize::from_value(flag)?,
-                None => false,
-            },
             durability: match entries.iter().find(|(name, _)| name == "durability") {
                 Some((_, policy)) => serde::Deserialize::from_value(policy)?,
                 None => DurabilityPolicy::default(),
-            },
-            repair_threads: match entries.iter().find(|(name, _)| name == "repair_threads") {
-                Some((_, threads)) => serde::Deserialize::from_value(threads)?,
-                None => 1,
             },
             admission: match entries.iter().find(|(name, _)| name == "admission") {
                 Some((_, policy)) => serde::Deserialize::from_value(policy)?,
@@ -311,8 +231,9 @@ pub struct EngineStats {
     pub greedy_patches: u64,
     /// Repairs escalated to a full warm-start re-solve.
     pub full_resolves: u64,
-    /// Bursts repaired by a single cold solve under
-    /// [`BatchPolicy::CostModel`].
+    /// Always 0. It counted bursts repaired by one cold solve under a
+    /// retired batch cost model. It stays on the wire because stats
+    /// decoders of older clients require the field.
     pub batch_solves: u64,
     /// Cold solves adopted by the staleness check.
     pub staleness_resolves: u64,
@@ -360,9 +281,6 @@ pub enum RepairKind {
     /// Full warm-start re-solve (dirty set exceeded the escalation
     /// threshold).
     FullResolve,
-    /// One cold solve replaced the burst's incremental repair
-    /// ([`BatchPolicy::CostModel`] predicted it cheaper).
-    BatchSolve,
     /// A staleness check replaced the served arrangement with a fresh cold
     /// solve (possibly after one of the other repairs ran first).
     StalenessResolve,
@@ -376,8 +294,7 @@ impl RepairKind {
             RepairKind::Untouched => 0,
             RepairKind::GreedyPatch { .. } => 1,
             RepairKind::FullResolve => 2,
-            RepairKind::BatchSolve => 3,
-            RepairKind::StalenessResolve => 4,
+            RepairKind::StalenessResolve => 3,
         }
     }
 }
@@ -418,10 +335,7 @@ pub struct ApplyOutcome {
 /// [`Shard::restore`] needs beyond the caller-supplied functions and
 /// config. The utility tracker is deliberately absent — it is rebuilt
 /// from the arrangement (bit-identical by the exact-sum property) and
-/// verified against the checkpointed sums by the durability layer. The
-/// online-calibration EWMAs are not carried either: they are wall-clock
-/// observations, explicitly outside the determinism contract, and
-/// restart empty like any fresh shard.
+/// verified against the checkpointed sums by the durability layer.
 pub(crate) struct ShardResume {
     /// The shard's sub-instance, rebuilt from the checkpointed mirror
     /// and quota vector.
@@ -462,16 +376,11 @@ pub struct Shard {
     last_staleness_check: u64,
     /// Epoch of the last catalogue snapshot absorbed (0 = none yet).
     catalog_epoch: u64,
-    /// EWMA of measured greedy-patch cost per candidate unit (ns), fed by
-    /// [`EngineConfig::online_cost_calibration`].
-    ewma_patch_ns: Option<f64>,
-    /// EWMA of measured cold-solve cost per bid unit (ns).
-    ewma_solve_ns: Option<f64>,
     /// Net arrangement edits since the last [`Shard::take_view_diff`]:
     /// `Some` while every mutation since then was recorded pair by pair
     /// (so a consumer's stale copy can be patched in O(changed)), `None`
-    /// after a wholesale replacement (full re-solve, batch solve,
-    /// staleness adoption) forced a full resync — or when no consumer
+    /// after a wholesale replacement (full re-solve or staleness
+    /// adoption) forced a full resync — or when no consumer
     /// ever armed the recorder (a shard driven directly), which keeps the
     /// recording free off the serving path.
     view_ops: Option<ArrangementDiff>,
@@ -480,20 +389,7 @@ pub struct Shard {
     /// [`Shard::apply_quotas`] so the reconciler can restrict its next
     /// round to events those users bid on.
     last_repair_admitted: Option<Vec<UserId>>,
-    /// Reusable scratch of the component-parallel repair path: interns
-    /// interference-graph node keys to dense union-find ids. Epoch-reset
-    /// per repair, so the split stays O(changed) per round.
-    node_interner: DenseInterner,
-    /// Reusable scratch of the component-parallel repair path: dense
-    /// slot tables giving every [`ComponentState`] sandbox O(1) global
-    /// id → local row lookups on the repair hot path.
-    component_slots: ComponentSlots,
 }
-
-/// EWMA smoothing factor of the online cost estimates: heavy enough to
-/// converge within a handful of repairs, light enough to ride out one
-/// noisy measurement.
-const COST_EWMA_ALPHA: f64 = 0.25;
 
 impl Shard {
     /// Creates a shard serving `instance`, running an initial cold solve.
@@ -521,12 +417,8 @@ impl Shard {
             solve_counter: 0,
             last_staleness_check: 0,
             catalog_epoch: 0,
-            ewma_patch_ns: None,
-            ewma_solve_ns: None,
             view_ops: None,
             last_repair_admitted: None,
-            node_interner: DenseInterner::default(),
-            component_slots: ComponentSlots::default(),
         };
         shard.arrangement = shard.next_solve(None);
         shard.tracker = UtilityTracker::rebuild(&shard.instance, &shard.arrangement);
@@ -562,12 +454,8 @@ impl Shard {
             solve_counter: resume.solve_counter,
             last_staleness_check: resume.last_staleness_check,
             catalog_epoch: resume.catalog_epoch,
-            ewma_patch_ns: None,
-            ewma_solve_ns: None,
             view_ops: None,
             last_repair_admitted: None,
-            node_interner: DenseInterner::default(),
-            component_slots: ComponentSlots::default(),
         }
     }
 
@@ -913,7 +801,7 @@ impl Shard {
     /// Shared tail of the burst paths: one batch repair, the staleness
     /// check, and the first error (if any).
     fn finish_burst(&mut self, first_error: Option<CoreError>) -> Result<ApplyOutcome, CoreError> {
-        let mut repair = self.repair_batch();
+        let mut repair = self.repair();
         if self.maybe_check_staleness() {
             repair = RepairKind::StalenessResolve;
         }
@@ -933,13 +821,6 @@ impl Shard {
     /// no announcement has been published yet).
     pub fn catalog_epoch(&self) -> u64 {
         self.catalog_epoch
-    }
-
-    /// The online cost estimates `(patch ns/candidate, solve ns/bid)`
-    /// observed so far (`None` until the first measured repair of that
-    /// kind; always `None` with calibration off).
-    pub fn online_cost_estimates(&self) -> (Option<f64>, Option<f64>) {
-        (self.ewma_patch_ns, self.ewma_solve_ns)
     }
 
     /// Forces a cold solve of the current instance and reports the served
@@ -964,87 +845,6 @@ impl Shard {
         }
     }
 
-    /// Repair path of a batched burst: consult the batch policy first,
-    /// then fall through to the incremental repair.
-    fn repair_batch(&mut self) -> RepairKind {
-        if self.dirty.is_empty() {
-            return RepairKind::Untouched;
-        }
-        if let BatchPolicy::CostModel {
-            patch_cost_per_candidate,
-            solve_cost_per_bid,
-        } = self.config.batch_policy
-        {
-            // Per-unit costs: the configured (bench-calibrated) constants,
-            // or this shard's own observed EWMA once online calibration
-            // has measured at least one repair of each kind.
-            let (patch_unit, solve_unit) = if self.config.online_cost_calibration {
-                (
-                    self.ewma_patch_ns.unwrap_or(patch_cost_per_candidate),
-                    self.ewma_solve_ns.unwrap_or(solve_cost_per_bid),
-                )
-            } else {
-                (patch_cost_per_candidate, solve_cost_per_bid)
-            };
-            // Cold-solve work: one greedy pass over every bid pair (plus
-            // fixed per-event bookkeeping).
-            let solve_units = (self.instance.num_bids() + self.instance.num_events()) as f64;
-            let solve_cost = solve_unit * solve_units;
-            let threshold =
-                (self.config.escalation_fraction * self.instance.num_users() as f64).max(1.0);
-            let incremental_cost = if self.dirty.users.len() as f64 > threshold {
-                // The incremental path would escalate to a warm-start
-                // re-solve: carry over the previous pairs, then run the
-                // full greedy pass anyway — roughly two cold solves.
-                2.0 * solve_cost
-            } else {
-                // Greedy-patch work: candidate pairs around the dirty set
-                // plus the full-user attendee scan per dirty event.
-                patch_unit * self.patch_units() as f64
-            };
-            if incremental_cost > solve_cost {
-                let started = self
-                    .config
-                    .online_cost_calibration
-                    .then(std::time::Instant::now);
-                self.arrangement = self.next_solve(None);
-                self.tracker = UtilityTracker::rebuild(&self.instance, &self.arrangement);
-                self.view_ops = None;
-                self.last_repair_admitted = None;
-                if let Some(started) = started {
-                    observe_cost(&mut self.ewma_solve_ns, started.elapsed(), solve_units);
-                }
-                self.dirty.clear();
-                self.stats.batch_solves += 1;
-                return RepairKind::BatchSolve;
-            }
-        }
-        self.repair()
-    }
-
-    /// The cost model's unit count for a greedy patch over the current
-    /// dirty set: the candidate pairs around the dirty set. Shared by the
-    /// predictor and the online calibration so observed timings normalise
-    /// against the same basis the decision multiplies.
-    ///
-    /// Historically this carried an extra `dirty.events × |U|` term for
-    /// the per-dirty-event attendee scan; the arrangement's reverse
-    /// attendee index made that listing an O(load) slice borrow (bounded
-    /// by the event's bidder count, already counted below), so the term —
-    /// and its distortion of the patch-vs-solve decision on large user
-    /// populations — is gone. The per-unit constants in
-    /// [`BatchPolicy::cost_model`] are calibrated against this basis.
-    fn patch_units(&self) -> usize {
-        let mut candidates = 0usize;
-        for &u in &self.dirty.users {
-            candidates += self.instance.user(u).num_bids();
-        }
-        for &v in &self.dirty.events {
-            candidates += self.instance.event(v).num_bidders();
-        }
-        candidates
-    }
-
     fn repair(&mut self) -> RepairKind {
         if self.dirty.is_empty() {
             self.last_repair_admitted = Some(Vec::new());
@@ -1063,12 +863,6 @@ impl Shard {
             self.view_ops = None;
             self.last_repair_admitted = None;
             RepairKind::FullResolve
-        } else if self.config.online_cost_calibration {
-            let units = self.patch_units();
-            let started = std::time::Instant::now();
-            let repair = self.greedy_patch();
-            observe_cost(&mut self.ewma_patch_ns, started.elapsed(), units as f64);
-            repair
         } else {
             self.greedy_patch()
         };
@@ -1078,10 +872,8 @@ impl Shard {
 
     /// Local repair: prune dirty users' assignments, evict overflow at
     /// dirty events, then greedily re-admit the heaviest feasible
-    /// candidate pairs around the dirty set — the shared
-    /// [`patch_region`] kernel, run serially on the arrangement or
-    /// split into independent components repaired concurrently (see
-    /// [`Shard::patch_components`]). The recorded ops then drive the
+    /// candidate pairs around the dirty set — the [`patch_region`]
+    /// kernel, run on the served arrangement. The recorded ops then drive the
     /// utility tracker and the view-diff recorder; exact summation makes
     /// the post-hoc tracker replay bit-identical to inline tracking, so
     /// scoring stays O(changed pairs) and no post-repair re-scan is ever
@@ -1089,16 +881,12 @@ impl Shard {
     fn greedy_patch(&mut self) -> RepairKind {
         let dirty_users: Vec<UserId> = self.dirty.users.iter().copied().collect();
         let dirty_events: Vec<EventId> = self.dirty.events.iter().copied().collect();
-        let ops = if self.config.repair_threads > 1 {
-            self.patch_components(&dirty_users, &dirty_events)
-        } else {
-            patch_region(
-                &self.instance,
-                &mut self.arrangement,
-                &dirty_users,
-                &dirty_events,
-            )
-        };
+        let ops = patch_region(
+            &self.instance,
+            &mut self.arrangement,
+            &dirty_users,
+            &dirty_events,
+        );
 
         for &(v, u) in &ops.removed {
             self.tracker.on_unassign(&self.instance, v, u);
@@ -1130,167 +918,6 @@ impl Shard {
         }
     }
 
-    /// Splits the dirty set into independent connected components of the
-    /// repair-interference graph and repairs them concurrently, each in
-    /// an extracted [`ComponentState`] sandbox, replaying the merged ops
-    /// onto the real arrangement.
-    ///
-    /// Two entities interfere when one repair step can touch both: a
-    /// dirty user with their bids and current events, a dirty event with
-    /// its bidders and attendees, and each attendee of a dirty event
-    /// with their own bids (eviction may re-seat them anywhere they
-    /// bid). Components of this graph read and write disjoint rows, so
-    /// per-component repair reproduces the serial pass exactly — the
-    /// serial candidate ordering restricted to a component preserves
-    /// relative order, and cross-component candidates share no
-    /// feasibility state. Components are merged in ascending order of
-    /// their smallest member, keeping the recorded op list deterministic.
-    fn patch_components(&mut self, dirty_users: &[UserId], dirty_events: &[EventId]) -> PatchOps {
-        // Node keys: users as 2k, events as 2k + 1. Keys are interned to
-        // dense union-find ids as the graph is traversed, so the split
-        // never pays a per-edge key lookup.
-        fn user_key(u: UserId) -> usize {
-            u.index() << 1
-        }
-        fn event_key(v: EventId) -> usize {
-            (v.index() << 1) | 1
-        }
-        fn intern(interner: &mut DenseInterner, keys: &mut Vec<usize>, key: usize) -> u32 {
-            let before = interner.len();
-            let id = interner.intern(key);
-            if interner.len() != before {
-                keys.push(key);
-            }
-            id
-        }
-
-        let instance = &self.instance;
-        let arrangement = &self.arrangement;
-        let interner = &mut self.node_interner;
-        interner.begin(2 * instance.num_users().max(instance.num_events()));
-        // Original key per dense id, in discovery order.
-        let mut keys: Vec<usize> = Vec::new();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for &u in dirty_users {
-            let a = intern(interner, &mut keys, user_key(u));
-            for &v in &instance.user(u).bids {
-                edges.push((a, intern(interner, &mut keys, event_key(v))));
-            }
-            for &v in arrangement.events_of(u) {
-                edges.push((a, intern(interner, &mut keys, event_key(v))));
-            }
-        }
-        for &v in dirty_events {
-            let a = intern(interner, &mut keys, event_key(v));
-            for &u in &instance.event(v).bidders {
-                edges.push((a, intern(interner, &mut keys, user_key(u))));
-            }
-            for &u in arrangement.users_of(v) {
-                let b = intern(interner, &mut keys, user_key(u));
-                edges.push((a, b));
-                for &w in &instance.user(u).bids {
-                    edges.push((b, intern(interner, &mut keys, event_key(w))));
-                }
-            }
-        }
-        let mut sets = DenseDisjointSets::new(keys.len());
-        for &(a, b) in &edges {
-            sets.union(a, b);
-        }
-        let dense_components = sets.components();
-        if dense_components.len() < 2 {
-            return patch_region(
-                &self.instance,
-                &mut self.arrangement,
-                dirty_users,
-                dirty_events,
-            );
-        }
-
-        // Map dense ids back to keys and restore the deterministic
-        // ordering contract: members ascending, components by smallest
-        // member.
-        let mut components: Vec<Vec<usize>> = dense_components
-            .into_iter()
-            .map(|c| {
-                let mut members: Vec<usize> = c.into_iter().map(|i| keys[i as usize]).collect();
-                members.sort_unstable();
-                members
-            })
-            .collect();
-        components.sort_unstable_by_key(|c| c[0]);
-
-        let dirty_user_set: BTreeSet<UserId> = dirty_users.iter().copied().collect();
-        let dirty_event_set: BTreeSet<EventId> = dirty_events.iter().copied().collect();
-        let slots = &mut self.component_slots;
-        slots.begin(instance.num_events(), instance.num_users());
-        // (users, events, dirty users, dirty events) per component; row
-        // extraction happens inside the parallel jobs, which only borrow
-        // the arrangement and the slot tables.
-        let mut regions: Vec<(Vec<UserId>, Vec<EventId>, Vec<UserId>, Vec<EventId>)> =
-            Vec::with_capacity(components.len());
-        for component in &components {
-            let mut users: Vec<UserId> = Vec::new();
-            let mut events: Vec<EventId> = Vec::new();
-            for &key in component {
-                if key & 1 == 0 {
-                    users.push(UserId::new(key >> 1));
-                } else {
-                    events.push(EventId::new(key >> 1));
-                }
-            }
-            let component_users: Vec<UserId> = users
-                .iter()
-                .copied()
-                .filter(|u| dirty_user_set.contains(u))
-                .collect();
-            let component_events: Vec<EventId> = events
-                .iter()
-                .copied()
-                .filter(|v| dirty_event_set.contains(v))
-                .collect();
-            if component_users.is_empty() && component_events.is_empty() {
-                continue;
-            }
-            for &u in &users {
-                slots.push_user(u);
-            }
-            for &v in &events {
-                slots.push_event(v);
-            }
-            regions.push((users, events, component_users, component_events));
-        }
-        let slots = &self.component_slots;
-        let jobs: Vec<_> = regions
-            .into_iter()
-            .map(|(users, events, component_users, component_events)| {
-                move || {
-                    let mut state = ComponentState::extract(
-                        arrangement,
-                        slots,
-                        &users,
-                        &events,
-                        &component_events,
-                    );
-                    patch_region(instance, &mut state, &component_users, &component_events)
-                }
-            })
-            .collect();
-        let mut ops = PatchOps::default();
-        for component_ops in scoped_pool::run_scoped(self.config.repair_threads, jobs) {
-            ops.extend(component_ops);
-        }
-        for &(v, u) in &ops.removed {
-            let was_present = self.arrangement.unassign(v, u);
-            debug_assert!(was_present, "component removed a pair the shard lacks");
-        }
-        for &(v, u) in &ops.added {
-            let was_absent = self.arrangement.assign(v, u);
-            debug_assert!(was_absent, "component added a pair the shard already holds");
-        }
-        ops
-    }
-
     /// Runs the staleness check when at least
     /// `staleness_check_interval` deltas accumulated since the last one.
     /// Tracking the last-check watermark (rather than exact interval
@@ -1308,18 +935,8 @@ impl Shard {
 
     /// Cold-solves the current instance and adopts the result when the
     /// served utility drifted too far. Returns whether it was adopted.
-    /// Under online calibration the cold solve doubles as a solve-cost
-    /// observation, so the EWMA converges even on patch-only workloads.
     fn check_staleness(&mut self) -> bool {
-        let started = self
-            .config
-            .online_cost_calibration
-            .then(std::time::Instant::now);
         let cold = self.next_solve(None);
-        if let Some(started) = started {
-            let units = (self.instance.num_bids() + self.instance.num_events()) as f64;
-            observe_cost(&mut self.ewma_solve_ns, started.elapsed(), units);
-        }
         self.stats.staleness_checks += 1;
         let cold_utility = cold.utility_value(&self.instance);
         let served_utility = self.utility();
@@ -1338,18 +955,6 @@ impl Shard {
             false
         }
     }
-}
-
-/// Folds one normalised timing observation into an EWMA slot.
-fn observe_cost(slot: &mut Option<f64>, elapsed: std::time::Duration, units: f64) {
-    if units <= 0.0 {
-        return;
-    }
-    let observed = elapsed.as_nanos() as f64 / units;
-    *slot = Some(match *slot {
-        Some(previous) => COST_EWMA_ALPHA * observed + (1.0 - COST_EWMA_ALPHA) * previous,
-        None => observed,
-    });
 }
 
 impl std::fmt::Debug for Shard {
@@ -1418,54 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_runs_one_cold_solve_on_large_bursts() {
-        let mut shard = shard_for(
-            3,
-            8,
-            EngineConfig {
-                batch_policy: BatchPolicy::cost_model(),
-                ..EngineConfig::default()
-            },
-        );
-        // Touch every user: the patch would scan far more than a solve.
-        let deltas: Vec<InstanceDelta> = (0..8)
-            .map(|u| InstanceDelta::UpdateInteractionScore {
-                user: UserId::new(u),
-                score: 0.9,
-            })
-            .collect();
-        let outcome = shard.apply_batch(&deltas).unwrap();
-        assert_eq!(outcome.repair, RepairKind::BatchSolve);
-        assert_eq!(shard.stats().batch_solves, 1);
-        assert_eq!(shard.stats().full_resolves, 0);
-        assert!(shard.arrangement().is_feasible(shard.instance()));
-    }
-
-    #[test]
-    fn cost_model_keeps_patching_small_bursts() {
-        let mut a = shard_for(
-            2,
-            40,
-            EngineConfig {
-                batch_policy: BatchPolicy::cost_model(),
-                ..EngineConfig::default()
-            },
-        );
-        let mut b = shard_for(2, 40, EngineConfig::default());
-        let delta = InstanceDelta::UpdateInteractionScore {
-            user: UserId::new(0),
-            score: 0.9,
-        };
-        let oa = a.apply_batch(std::slice::from_ref(&delta)).unwrap();
-        let ob = b.apply_batch(std::slice::from_ref(&delta)).unwrap();
-        // A one-delta burst dirtying one user is cheap to patch; the cost
-        // model must agree with the escalation policy here.
-        assert_eq!(oa.repair, ob.repair);
-        assert_eq!(oa.utility.to_bits(), ob.utility.to_bits());
-        assert_eq!(a.stats().batch_solves, 0);
-    }
-
-    #[test]
     fn pre_batch_policy_configs_still_deserialize() {
         // A config serialized before `batch_policy` existed: the missing
         // field defaults instead of failing.
@@ -1473,31 +1030,79 @@ mod tests {
                       \"staleness_check_interval\":256,\"max_staleness\":0.05}";
         let config: EngineConfig = serde_json::from_str(legacy).unwrap();
         assert_eq!(config.seed, 7);
-        assert_eq!(config.batch_policy, BatchPolicy::Escalation);
-        assert!(!config.online_cost_calibration);
         assert_eq!(config.durability, DurabilityPolicy::Off);
-        // Configs from before the repair-threads knob behave serially.
-        assert_eq!(config.repair_threads, 1);
         // Configs from before admission control behave unbounded.
         assert_eq!(config.admission, AdmissionPolicy::Unbounded);
         // And the current format round-trips.
         let current = EngineConfig {
-            batch_policy: BatchPolicy::cost_model(),
             durability: DurabilityPolicy::EveryN { n: 16 },
-            repair_threads: 4,
             admission: AdmissionPolicy::bounded(128),
             ..EngineConfig::default()
         };
         let json = serde_json::to_string(&current).unwrap();
         let back: EngineConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, current);
+
+        // A config carrying the retired cost-model batch policy, its
+        // online calibration and a repair thread count: the keys are
+        // ignored, and the engine serves exactly like the default one.
+        let retired = "{\"seed\":0,\"escalation_fraction\":0.25,\
+                       \"staleness_check_interval\":256,\"max_staleness\":0.05,\
+                       \"batch_policy\":{\"CostModel\":{\"patch_cost_per_candidate\":175.0,\
+                       \"solve_cost_per_bid\":115.0}},\
+                       \"online_cost_calibration\":true,\
+                       \"durability\":\"Off\",\"repair_threads\":4}";
+        let decoded: EngineConfig = serde_json::from_str(retired).unwrap();
+        assert_eq!(decoded, EngineConfig::default());
+        let engine_for = |config: EngineConfig| {
+            crate::ShardedEngine::single(
+                shard_for(3, 8, EngineConfig::default()).instance().clone(),
+                Box::new(NeverConflict),
+                Box::new(ConstantInterest(0.5)),
+                Box::new(GreedyArrangement),
+                config,
+            )
+        };
+        let mut legacy = engine_for(decoded);
+        let mut current = engine_for(EngineConfig::default());
+        // A burst touching every user (the shape the cost model answered
+        // with one cold solve), then single deltas.
+        let burst: Vec<InstanceDelta> = (0..8)
+            .map(|u| InstanceDelta::UpdateInteractionScore {
+                user: UserId::new(u),
+                score: 0.9 - 0.1 * u as f64,
+            })
+            .collect();
+        assert_eq!(
+            legacy.apply_batch(&burst).unwrap(),
+            current.apply_batch(&burst).unwrap()
+        );
+        for u in 0..8 {
+            let delta = InstanceDelta::UpdateCapacity {
+                target: CapacityTarget::User(UserId::new(u)),
+                capacity: 1 + u % 2,
+            };
+            assert_eq!(
+                legacy.apply(&delta).unwrap(),
+                current.apply(&delta).unwrap()
+            );
+        }
+        assert_eq!(
+            legacy.merged_arrangement().pairs().collect::<Vec<_>>(),
+            current.merged_arrangement().pairs().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            legacy.merged_utility().total.to_bits(),
+            current.merged_utility().total.to_bits()
+        );
+        assert_eq!(legacy.stats(), current.stats());
     }
 
     #[test]
     fn legacy_config_without_admission_is_bit_identical_to_default() {
         // Regression pin for the admission rollout: a config serialized
-        // by a pre-admission build (every field up to `repair_threads`,
-        // no `admission` key) must decode to a config whose behaviour —
+        // by a pre-admission build (every field of its day, no
+        // `admission` key) must decode to a config whose behaviour —
         // and whose re-serialization — is bit-identical to constructing
         // the same config today with the default (unbounded) admission.
         let pre_admission = "{\"seed\":3,\"escalation_fraction\":0.25,\
@@ -1508,7 +1113,6 @@ mod tests {
         let decoded: EngineConfig = serde_json::from_str(pre_admission).unwrap();
         let expected = EngineConfig {
             seed: 3,
-            repair_threads: 2,
             ..EngineConfig::default()
         };
         assert_eq!(decoded, expected);
@@ -1520,62 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn online_calibration_converges_on_observed_costs() {
-        let mut shard = shard_for(
-            3,
-            8,
-            EngineConfig {
-                batch_policy: BatchPolicy::cost_model(),
-                online_cost_calibration: true,
-                staleness_check_interval: 0,
-                ..EngineConfig::default()
-            },
-        );
-        assert_eq!(shard.online_cost_estimates(), (None, None));
-        // A one-user touch runs the greedy patch → a patch observation.
-        shard
-            .apply(&InstanceDelta::UpdateInteractionScore {
-                user: UserId::new(0),
-                score: 0.9,
-            })
-            .unwrap();
-        let (patch, _) = shard.online_cost_estimates();
-        assert!(patch.is_some_and(|ns| ns > 0.0));
-        // A burst touching every user runs one cold batch solve → a
-        // solve observation feeding the next decision's per-unit cost.
-        let deltas: Vec<InstanceDelta> = (0..8)
-            .map(|u| InstanceDelta::UpdateInteractionScore {
-                user: UserId::new(u),
-                score: 0.8,
-            })
-            .collect();
-        let outcome = shard.apply_batch(&deltas).unwrap();
-        assert_eq!(outcome.repair, RepairKind::BatchSolve);
-        let (_, solve) = shard.online_cost_estimates();
-        assert!(solve.is_some_and(|ns| ns > 0.0));
-        assert!(shard.arrangement().is_feasible(shard.instance()));
-    }
-
-    #[test]
-    fn calibration_off_records_nothing() {
-        let mut shard = shard_for(
-            2,
-            4,
-            EngineConfig {
-                batch_policy: BatchPolicy::cost_model(),
-                ..EngineConfig::default()
-            },
-        );
-        shard
-            .apply(&InstanceDelta::UpdateInteractionScore {
-                user: UserId::new(0),
-                score: 0.9,
-            })
-            .unwrap();
-        assert_eq!(shard.online_cost_estimates(), (None, None));
-    }
-
-    #[test]
     fn batch_policy_severity_ordering_is_total() {
         let kinds = [
             RepairKind::Untouched,
@@ -1584,7 +1132,6 @@ mod tests {
                 added: 1,
             },
             RepairKind::FullResolve,
-            RepairKind::BatchSolve,
             RepairKind::StalenessResolve,
         ];
         for w in kinds.windows(2) {

@@ -579,7 +579,7 @@ impl ShardView {
 /// construction (single dispatcher writer, worker resync on every
 /// barrier resume), and a full [`ShardView`] remains the fallback
 /// whenever the worker cannot vouch for the chain (first apply after a
-/// resume with a discarded recorder, full re-solves, batch solves).
+/// resume with a discarded recorder, full re-solves, staleness adoptions).
 struct ViewDelta {
     /// Epoch of the installed view this diff extends.
     parent_epoch: u64,
@@ -2151,7 +2151,7 @@ fn spawn_worker(
                     // computed here so readers never barrier. The repair
                     // recorded its net pair edits, so the common case
                     // ships an O(changed) diff; a repair that rebuilt the
-                    // arrangement wholesale (full re-solve, batch solve)
+                    // arrangement wholesale (full re-solve, staleness adoption)
                     // disarmed the recorder and ships a full snapshot,
                     // re-syncing the chain.
                     let stats = *shard.stats();
@@ -2820,6 +2820,41 @@ mod tests {
 
         drop(writer);
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn deeply_nested_lines_answer_malformed_and_the_server_keeps_serving() {
+        // 100k nested `[` used to overflow the connection thread's stack
+        // in the JSON parser and abort the whole server process.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = EngineServer::serve(
+            listener,
+            sharded_for(2, 4, 2),
+            ServerOptions::from(Framing::Lines),
+        )
+        .unwrap();
+
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        write_frame(&mut writer, Framing::Lines, &"[".repeat(100_000)).unwrap();
+        let line = read_frame(&mut reader, Framing::Lines).unwrap().unwrap();
+        let response = decode_response_envelope(&line).unwrap();
+        assert!(
+            matches!(&response.result, Err(EngineError::Malformed { detail }) if detail.contains("nesting")),
+            "{response:?}"
+        );
+        drop(writer);
+
+        let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
+        let response = client.call(add_user_request(0)).unwrap();
+        assert!(
+            matches!(response, EngineResponse::Applied { .. }),
+            "{response:?}"
+        );
+        drop(client);
+        let engine = handle.shutdown().unwrap();
+        assert_eq!(engine.instance().num_users(), 5);
     }
 
     #[test]

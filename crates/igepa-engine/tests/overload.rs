@@ -194,7 +194,9 @@ proptest! {
 
 /// Regression pin at the integration level: a pre-admission config (no
 /// `admission` key) decodes to the unbounded policy, and a server built
-/// from it admits every mutation — the legacy behaviour, bit for bit.
+/// from it admits every mutation — the legacy behaviour, bit for bit. A
+/// config carrying the retired cost-model batch policy, its online
+/// calibration and a repair thread count decodes to the same config.
 #[test]
 fn legacy_config_decodes_unbounded_and_serves_unthrottled() {
     let pre_admission = "{\"seed\":7,\"escalation_fraction\":0.25,\
@@ -202,39 +204,47 @@ fn legacy_config_decodes_unbounded_and_serves_unthrottled() {
                          \"batch_policy\":\"Escalation\",\
                          \"online_cost_calibration\":false,\
                          \"durability\":\"Off\",\"repair_threads\":1}";
-    let decoded: EngineConfig = serde_json::from_str(pre_admission).unwrap();
-    assert_eq!(decoded.admission, AdmissionPolicy::Unbounded);
-    let expected = EngineConfig {
-        seed: 7,
-        ..EngineConfig::default()
-    };
-    assert_eq!(decoded, expected);
-    assert_eq!(
-        serde_json::to_string(&decoded).unwrap(),
-        serde_json::to_string(&expected).unwrap()
-    );
+    let retired = "{\"seed\":7,\"escalation_fraction\":0.25,\
+                   \"staleness_check_interval\":256,\"max_staleness\":0.05,\
+                   \"batch_policy\":{\"CostModel\":{\"patch_cost_per_candidate\":175.0,\
+                   \"solve_cost_per_bid\":115.0}},\
+                   \"online_cost_calibration\":true,\
+                   \"durability\":\"Off\",\"repair_threads\":4}";
+    for legacy in [pre_admission, retired] {
+        let decoded: EngineConfig = serde_json::from_str(legacy).unwrap();
+        assert_eq!(decoded.admission, AdmissionPolicy::Unbounded);
+        let expected = EngineConfig {
+            seed: 7,
+            ..EngineConfig::default()
+        };
+        assert_eq!(decoded, expected);
+        assert_eq!(
+            serde_json::to_string(&decoded).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let engine = ShardedEngine::new(
-        seeded_instance(4, 6),
-        Box::new(NeverConflict),
-        Box::new(ConstantInterest(0.5)),
-        Box::new(GreedyArrangement),
-        Box::new(HashPartitioner),
-        ShardedConfig {
-            num_shards: 4,
-            shard: decoded,
-            reconcile_interval: 8,
-            reconcile_rounds: 2,
-        },
-    );
-    let handle =
-        EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
-    let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
-    for i in 0..32 {
-        let response = client.call(request_for((0, i, 0.5))).unwrap();
-        assert!(matches!(response, EngineResponse::Applied { .. }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let engine = ShardedEngine::new(
+            seeded_instance(4, 6),
+            Box::new(NeverConflict),
+            Box::new(ConstantInterest(0.5)),
+            Box::new(GreedyArrangement),
+            Box::new(HashPartitioner),
+            ShardedConfig {
+                num_shards: 4,
+                shard: decoded,
+                reconcile_interval: 8,
+                reconcile_rounds: 2,
+            },
+        );
+        let handle =
+            EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines)).unwrap();
+        let mut client = EngineClient::connect(handle.local_addr(), Framing::Lines).unwrap();
+        for i in 0..32 {
+            let response = client.call(request_for((0, i, 0.5))).unwrap();
+            assert!(matches!(response, EngineResponse::Applied { .. }));
+        }
+        drop(client);
+        handle.shutdown().unwrap();
     }
-    drop(client);
-    handle.shutdown().unwrap();
 }

@@ -186,65 +186,6 @@ proptest! {
         prop_assert_eq!(first.report.final_utility.to_bits(), recorded_utility.to_bits());
     }
 
-    /// The component-parallel repair pin: the same delta sequence driven
-    /// through engines configured with 1, 2 and 4 repair threads lands on
-    /// bit-identical served state after every single apply — same pairs,
-    /// same utility bits, same counters. Threads change where repair work
-    /// runs (one patch region per conflict-graph component), never what
-    /// it produces.
-    #[test]
-    fn component_parallel_repair_is_bit_identical_across_thread_counts(
-        num_events in 1usize..5,
-        num_users in 1usize..6,
-        with_conflicts in any::<bool>(),
-        raws in proptest::collection::vec(raw_delta_strategy(), 1..40),
-        seed in 0u64..50,
-    ) {
-        let instance = seeded_instance(num_events, num_users, with_conflicts);
-        let mut engines: Vec<ShardedEngine> = [1usize, 2, 4]
-            .into_iter()
-            .map(|repair_threads| {
-                ShardedEngine::single(
-                    instance.clone(),
-                    Box::new(NeverConflict),
-                    Box::new(ConstantInterest(0.5)),
-                    Box::new(GreedyArrangement),
-                    EngineConfig {
-                        seed,
-                        staleness_check_interval: 8,
-                        repair_threads,
-                        ..EngineConfig::default()
-                    },
-                )
-            })
-            .collect();
-        for raw in &raws {
-            let delta = resolve(raw, engines[0].instance());
-            for engine in &mut engines {
-                let outcome = engine.apply(&delta);
-                prop_assert!(outcome.is_ok(), "resolved delta rejected: {:?}", outcome.err());
-            }
-            let (baseline, rest) = engines.split_first().expect("three engines");
-            for other in rest {
-                prop_assert_eq!(
-                    baseline.utility().to_bits(),
-                    other.utility().to_bits(),
-                    "utility diverged at {} threads after {:?}",
-                    other.config().shard.repair_threads,
-                    delta.kind()
-                );
-                prop_assert_eq!(
-                    baseline.merged_arrangement().pairs().collect::<Vec<_>>(),
-                    other.merged_arrangement().pairs().collect::<Vec<_>>(),
-                    "pairs diverged at {} threads after {:?}",
-                    other.config().shard.repair_threads,
-                    delta.kind()
-                );
-                prop_assert_eq!(baseline.stats(), other.stats());
-            }
-        }
-    }
-
     #[test]
     fn rejected_deltas_leave_served_state_untouched(
         num_events in 1usize..4,

@@ -32,8 +32,6 @@ pub struct CliOptions {
     pub deltas: Option<usize>,
     /// `--shards <n>`: shard count.
     pub shards: Option<usize>,
-    /// `--repair-threads <n>`: intra-shard repair threads.
-    pub repair_threads: Option<usize>,
     /// `--listen <addr>`: serve over TCP.
     pub listen: Option<String>,
     /// `--connect <addr>`: drive a `--listen` server.
@@ -123,10 +121,6 @@ pub fn parse_cli_options(args: &[String]) -> Result<CliOptions, UsageError> {
             }
             "--shards" => {
                 options.shards = number(&args[i], args.get(i + 1))?;
-                i += 1;
-            }
-            "--repair-threads" => {
-                options.repair_threads = number(&args[i], args.get(i + 1))?;
                 i += 1;
             }
             "--listen" => {

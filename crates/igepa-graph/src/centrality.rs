@@ -9,7 +9,7 @@
 //! algorithm ordering is to the chosen interaction measure.
 //!
 //! All functions return one score per vertex, indexed by the vertex id used
-//! by [`SocialNetwork`](crate::SocialNetwork).
+//! by [`SocialNetwork`].
 
 use crate::graph::SocialNetwork;
 use crate::paths::{bfs_distances, UNREACHABLE};

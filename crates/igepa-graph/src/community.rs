@@ -161,65 +161,6 @@ pub fn label_propagation<R: Rng + ?Sized>(
     Partition::from_labels(labels)
 }
 
-/// Deterministic greedy modularity merging (a compact CNM-style pass).
-///
-/// Starts from singleton communities and repeatedly merges the pair of
-/// *adjacent* communities whose merge increases modularity the most, until
-/// no merge improves it. Quadratic in the number of communities per merge,
-/// so intended for reporting on paper-scale instances, not huge graphs.
-pub fn greedy_modularity(g: &SocialNetwork) -> Partition {
-    let n = g.num_users();
-    let m = g.num_edges() as f64;
-    if n == 0 || m == 0.0 {
-        return Partition::singletons(n);
-    }
-
-    let mut labels: Vec<usize> = (0..n).collect();
-    loop {
-        let partition = Partition::from_labels(labels.clone());
-        let k = partition.num_communities();
-        if k <= 1 {
-            break;
-        }
-        // Aggregate community-level quantities.
-        let mut degree_sum = vec![0.0_f64; k];
-        for u in 0..n {
-            degree_sum[partition.community_of(u)] += g.degree(u) as f64;
-        }
-        let mut between: HashMap<(usize, usize), f64> = HashMap::new();
-        for (a, b) in g.edges() {
-            let (ca, cb) = (partition.community_of(a), partition.community_of(b));
-            if ca != cb {
-                let key = (ca.min(cb), ca.max(cb));
-                *between.entry(key).or_insert(0.0) += 1.0;
-            }
-        }
-        // ΔQ of merging communities i and j:
-        //   e_ij / m − 2 (d_i / 2m)(d_j / 2m)
-        let mut best: Option<((usize, usize), f64)> = None;
-        for (&(i, j), &e_ij) in &between {
-            let delta = e_ij / m - 2.0 * (degree_sum[i] / (2.0 * m)) * (degree_sum[j] / (2.0 * m));
-            match best {
-                Some((_, d)) if d >= delta => {}
-                _ => best = Some(((i, j), delta)),
-            }
-        }
-        match best {
-            Some(((i, j), delta)) if delta > 1e-12 => {
-                // Re-label: vertices in community j join community i.
-                let mut new_labels = Vec::with_capacity(n);
-                for u in 0..n {
-                    let c = partition.community_of(u);
-                    new_labels.push(if c == j { i } else { c });
-                }
-                labels = new_labels;
-            }
-            _ => break,
-        }
-    }
-    Partition::from_labels(labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,43 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn greedy_modularity_recovers_two_cliques() {
-        let g = two_cliques();
-        let p = greedy_modularity(&g);
-        for a in 1..5 {
-            assert!(p.same_community(0, a));
-            assert!(p.same_community(5, a + 5));
-        }
-        assert_eq!(p.num_communities(), 2);
-        let q = modularity(&g, &p);
-        assert!(q > 0.4);
-    }
-
-    #[test]
-    fn greedy_modularity_on_edgeless_graph_keeps_singletons() {
-        let g = SocialNetwork::new(6);
-        let p = greedy_modularity(&g);
-        assert_eq!(p.num_communities(), 6);
-    }
-
-    #[test]
-    fn greedy_modularity_never_scores_below_zero_on_random_graphs() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for seed in 0..3 {
-            let g = generators::erdos_renyi(40 + seed * 10, 0.1, &mut rng);
-            let p = greedy_modularity(&g);
-            if g.num_edges() > 0 {
-                assert!(modularity(&g, &p) >= -1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn group_overlap_graph_communities_match_groups() {
         // Users 0-4 share group A, users 5-9 share group B → two cliques.
         let memberships: Vec<Vec<usize>> = vec![(0..5).collect(), (5..10).collect()];
         let g = generators::from_group_memberships(10, &memberships);
-        let p = greedy_modularity(&g);
+        let mut rng = StdRng::seed_from_u64(3);
+        let p = label_propagation(&g, 50, &mut rng);
         assert_eq!(p.num_communities(), 2);
         assert!(p.same_community(0, 4));
         assert!(p.same_community(5, 9));

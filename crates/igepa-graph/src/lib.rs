@@ -31,7 +31,6 @@
 
 pub mod centrality;
 pub mod community;
-pub mod components;
 pub mod generators;
 pub mod graph;
 pub mod interaction;
@@ -42,8 +41,7 @@ pub use centrality::{
     betweenness_centrality, closeness_centrality, core_numbers, degree_centrality,
     eigenvector_centrality, pagerank, PageRankConfig,
 };
-pub use community::{greedy_modularity, label_propagation, modularity, Partition};
-pub use components::{DenseDisjointSets, DenseInterner, DisjointSets};
+pub use community::{label_propagation, modularity, Partition};
 pub use generators::{
     barabasi_albert, erdos_renyi, from_group_memberships, random_edges, watts_strogatz,
 };

@@ -5,7 +5,7 @@
 //! reporting) and the community/centrality modules need breadth-first
 //! distances, eccentricities and connectivity checks. Everything here is
 //! plain BFS on the compact adjacency representation of
-//! [`SocialNetwork`](crate::SocialNetwork).
+//! [`SocialNetwork`].
 
 use crate::graph::SocialNetwork;
 use std::collections::VecDeque;

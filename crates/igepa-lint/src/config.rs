@@ -113,14 +113,10 @@ fn default_serde_baseline() -> BTreeMap<&'static str, Vec<&'static str>> {
             "escalation_fraction",
             "staleness_check_interval",
             "max_staleness",
-            "batch_policy",
-            "online_cost_calibration",
             "durability",
-            "repair_threads",
             "admission",
         ],
     );
-    m.insert("BatchPolicy", vec!["Escalation", "CostModel"]);
     m.insert("AdmissionPolicy", vec!["Unbounded", "Bounded"]);
     m.insert(
         "OverloadStats",

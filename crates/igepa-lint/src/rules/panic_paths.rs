@@ -4,7 +4,7 @@
 //! A panic on a connection, dispatcher, or worker thread kills that
 //! thread and, at best, degrades the server silently; at worst it
 //! poisons shared locks and cascades. Failures on these paths must be
-//! refused with a typed [`EngineError`] (or propagate `io::Error` on
+//! refused with a typed `EngineError` (or propagate `io::Error` on
 //! the durability paths) so the documented truncate-and-recover and
 //! refuse-the-request behaviours stay reachable. Genuine fail-fast
 //! invariants — e.g. shard/mirror divergence, where continuing would

@@ -52,7 +52,7 @@ fn main() {
         num_shards
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
-    let engine = sharded_serving_engine(base, 5, num_shards, 1);
+    let engine = sharded_serving_engine(base, 5, num_shards);
     let handle = EngineServer::serve(listener, engine, ServerOptions::from(Framing::Lines))
         .expect("server spawns");
     let addr = handle.local_addr();
